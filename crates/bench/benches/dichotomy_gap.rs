@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpr_bench::{hard_s4_workload, single_fd_workload, two_keys_workload};
-use rpr_core::{check_global_exact, GRepairChecker};
+use rpr_core::{check_global_exact_bounded, Budget, GRepairChecker};
 use rpr_priority::PrioritizedInstance;
 
 const SIZES: &[usize] = &[10, 16, 22, 28, 34];
@@ -23,7 +23,7 @@ fn bench_poly_side(c: &mut Criterion) {
         )
         .unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| checker.check(&pi, &w.j).unwrap().is_optimal())
+            b.iter(|| checker.check(&pi, &w.j).is_optimal())
         });
     }
     group.finish();
@@ -39,7 +39,7 @@ fn bench_poly_side(c: &mut Criterion) {
         )
         .unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| checker.check(&pi, &w.j).unwrap().is_optimal())
+            b.iter(|| checker.check(&pi, &w.j).is_optimal())
         });
     }
     group.finish();
@@ -56,8 +56,9 @@ fn bench_hard_side(c: &mut Criterion) {
         let empty = rpr_priority::PriorityRelation::empty(w.instance.len());
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                check_global_exact(&cg, &empty, &w.instance.full_set(), &w.j, 1 << 30)
-                    .unwrap()
+                let budget = Budget::unlimited();
+                check_global_exact_bounded(&cg, &empty, &w.instance.full_set(), &w.j, &budget)
+                    .expect_done("unlimited budget")
                     .is_optimal()
             })
         });

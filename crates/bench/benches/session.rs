@@ -37,7 +37,7 @@ fn bench_session(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i += 1;
-            checker.check(&pi, &js[i % js.len()]).unwrap().is_optimal()
+            checker.check(&pi, &js[i % js.len()]).is_optimal()
         })
     });
     group.finish();
@@ -50,7 +50,7 @@ fn bench_session(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i += 1;
-            session.check(&js[i % js.len()]).unwrap().is_optimal()
+            session.check(&js[i % js.len()]).is_optimal()
         })
     });
     group.finish();

@@ -16,13 +16,13 @@ use rpr_classify::{
     equivalent_single_key, equivalent_two_incomparable_keys, CcpClass, Complexity,
 };
 use rpr_core::{
-    check_global_ccp_const, check_global_ccp_pk, check_global_exact, default_jobs,
+    check_global_ccp_const, check_global_ccp_pk, check_global_exact_bounded, default_jobs,
     enumerate_const_attr_repairs, enumerate_repairs, is_completion_optimal,
     is_completion_optimal_brute, is_global_improvement, is_globally_optimal_brute,
-    is_pareto_improvement, is_pareto_optimal, is_pareto_optimal_brute, CcpChecker, CheckSession,
-    GRepairChecker, Improvement,
+    is_pareto_improvement, is_pareto_optimal, is_pareto_optimal_brute, Budget, CcpChecker,
+    CheckSession, GRepairChecker, Improvement,
 };
-use rpr_cqa::{answers, atom, ConjunctiveQuery, RepairSemantics, RepairSpace};
+use rpr_cqa::{answers_bounded, atom, ConjunctiveQuery, RepairSemantics, RepairSpace};
 use rpr_data::{AttrSet, FactId, Instance, RelId, Signature, Value};
 use rpr_fd::{closure, equivalent, ConflictGraph, Fd, Schema};
 use rpr_gen::{ccp_hard_schema, example_3_3_schema, hard_schema, random_schema, RunningExample};
@@ -201,6 +201,20 @@ fn main() {
     }
 }
 
+/// The whole-domain exact search under a `max_work` allowance.
+fn exact_search(
+    cg: &ConflictGraph,
+    priority: &PriorityRelation,
+    domain: &rpr_data::FactSet,
+    j: &rpr_data::FactSet,
+    max_work: u64,
+) -> Result<rpr_core::CheckOutcome, String> {
+    let budget = Budget::unlimited().with_max_work(max_work);
+    check_global_exact_bounded(cg, priority, domain, j, &budget)
+        .done()
+        .ok_or_else(|| format!("exact search exceeded {max_work} work units"))
+}
+
 fn ensure(cond: bool, msg: &str) -> Result<(), String> {
     if cond {
         Ok(())
@@ -331,7 +345,7 @@ fn e06() -> ExpResult {
         )
         .map_err(|e| e.to_string())?;
         for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
-            let fast = checker.check(&pi, &j).map_err(|e| e.to_string())?.is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22)
                 .map_err(|e| e.to_string())?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
@@ -346,7 +360,7 @@ fn e06() -> ExpResult {
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .map_err(|e| e.to_string())?;
     let t = Instant::now();
-    let _ = checker.check(&pi, &w.j).map_err(|e| e.to_string())?;
+    let _ = checker.check(&pi, &w.j);
     let dt = t.elapsed();
     Ok(vec![
         "paper: GRepCheck1FD decides globally-optimal repair checking in polynomial time for a single FD".into(),
@@ -405,7 +419,7 @@ fn e08() -> ExpResult {
         )
         .map_err(|e| e.to_string())?;
         for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
-            let fast = checker.check(&pi, &j).map_err(|e| e.to_string())?.is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22)
                 .map_err(|e| e.to_string())?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
@@ -418,7 +432,7 @@ fn e08() -> ExpResult {
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .map_err(|e| e.to_string())?;
     let t = Instant::now();
-    let _ = checker.check(&pi, &w.j).map_err(|e| e.to_string())?;
+    let _ = checker.check(&pi, &w.j);
     let dt = t.elapsed();
     Ok(vec![
         "paper: GRepCheck2Keys (Pareto pre-check + acyclicity of G12/G21) is polynomial for two keys".into(),
@@ -438,14 +452,13 @@ fn e09() -> ExpResult {
     for (name, graph) in [("2 isolated vertices", UGraph::new(2)), ("K2 (Figure 5)", k2)] {
         let gadget = hamiltonian_gadget(&graph);
         let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
-        let outcome = check_global_exact(
+        let outcome = exact_search(
             &cg,
             gadget.prioritized.priority(),
             &gadget.prioritized.instance().full_set(),
             &gadget.j,
             1 << 26,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         let hamiltonian = !outcome.is_optimal();
         ensure(
             hamiltonian == graph.is_hamiltonian(),
@@ -524,8 +537,7 @@ fn e10() -> ExpResult {
     let (mapped, j2) = map_input(&pi_map, &gadget.prioritized, &gadget.j);
     let dst_cg = ConflictGraph::new(pi_map.target_schema(), mapped.instance());
     let outcome =
-        check_global_exact(&dst_cg, mapped.priority(), &mapped.instance().full_set(), &j2, 1 << 26)
-            .map_err(|e| e.to_string())?;
+        exact_search(&dst_cg, mapped.priority(), &mapped.instance().full_set(), &j2, 1 << 26)?;
     ensure(!outcome.is_optimal(), "mapped Figure-5 input stays improvable")?;
     Ok(vec![
         "paper: the Case-1 Π is injective and preserves (in)consistency, transporting hardness to every ≥3-keys schema".into(),
@@ -632,7 +644,7 @@ fn e13() -> ExpResult {
     let checker = CcpChecker::new(w.schema.clone());
     let pi = PrioritizedInstance::cross_conflict(w.instance.clone(), w.priority.clone());
     let t = Instant::now();
-    let _ = checker.check(&pi, &w.j).map_err(|e| e.to_string())?;
+    let _ = checker.check(&pi, &w.j);
     let dt = t.elapsed();
     Ok(vec![
         "paper: for primary-key assignments, ccp globally-optimal checking reduces to cycle detection in G_{J,I\\J} (PTIME)".into(),
@@ -762,7 +774,7 @@ fn e16() -> ExpResult {
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .map_err(|e| e.to_string())?;
         for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
-            let fast = checker.check(&pi, &j).map_err(|e| e.to_string())?.is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &priority, &j, 1 << 22)
                 .map_err(|e| e.to_string())?;
             ensure(fast == slow, "dispatcher disagrees with oracle")?;
@@ -792,7 +804,7 @@ fn e17() -> ExpResult {
         .map_err(|e| e.to_string())?;
         let t = Instant::now();
         for _ in 0..10 {
-            let _ = c1.check(&p1, &w1.j).map_err(|e| e.to_string())?;
+            let _ = c1.check(&p1, &w1.j);
         }
         let d1 = t.elapsed() / 10;
 
@@ -806,7 +818,7 @@ fn e17() -> ExpResult {
         .map_err(|e| e.to_string())?;
         let t = Instant::now();
         for _ in 0..10 {
-            let _ = c2.check(&p2, &w2.j).map_err(|e| e.to_string())?;
+            let _ = c2.check(&p2, &w2.j);
         }
         let d2 = t.elapsed() / 10;
 
@@ -817,7 +829,7 @@ fn e17() -> ExpResult {
         let cgh = wh.conflict_graph();
         let empty = PriorityRelation::empty(wh.instance.len());
         let t = Instant::now();
-        let exact = check_global_exact(&cgh, &empty, &wh.instance.full_set(), &wh.j, 1 << 27);
+        let exact = exact_search(&cgh, &empty, &wh.instance.full_set(), &wh.j, 1 << 27);
         let d3 = t.elapsed();
         let d3s = match exact {
             Ok(_) => format!("{d3:.2?}"),
@@ -902,15 +914,19 @@ fn e19() -> ExpResult {
         ],
     };
     q.validate(&ex.instance).map_err(|e| e.to_string())?;
-    let all = answers(&ex.schema, &ex.instance, &ex.priority, &q, RepairSemantics::All, 1 << 22)
-        .map_err(|e| e.to_string())?;
-    let global =
-        answers(&ex.schema, &ex.instance, &ex.priority, &q, RepairSemantics::Global, 1 << 22)
-            .map_err(|e| e.to_string())?;
+    let answers = |sem| {
+        answers_bounded(&ex.schema, &ex.instance, &ex.priority, &q, sem, &Budget::unlimited())
+            .done()
+            .ok_or("an unlimited budget never stops")
+    };
+    let all = answers(RepairSemantics::All)?;
+    let global = answers(RepairSemantics::Global)?;
     ensure(all.certain.is_empty(), "no certain answers over all repairs")?;
     ensure(global.certain.len() == 1, "exactly one certain answer over g-repairs")?;
     let cg = ConflictGraph::new(&ex.schema, &ex.instance);
-    let space = RepairSpace::compute(&cg, &ex.priority, 1 << 22).map_err(|e| e.to_string())?;
+    let space = RepairSpace::compute_bounded(&cg, &ex.priority, &Budget::unlimited())
+        .done()
+        .ok_or("an unlimited budget never stops")?;
     Ok(vec![
         "paper (concluding remarks): preferred CQA and g-repair counting/uniqueness are the next classification targets".into(),
         format!(
@@ -1103,7 +1119,7 @@ fn e24() -> ExpResult {
     let t0 = Instant::now();
     let mut one_shot_outcomes = Vec::new();
     for j in &candidates[..one_shot_sample] {
-        one_shot_outcomes.push(checker.check(&pi, j).map_err(|e| e.to_string())?);
+        one_shot_outcomes.push(checker.check(&pi, j));
     }
     let one_shot_per_check = t0.elapsed().as_secs_f64() / one_shot_sample as f64;
 
@@ -1112,7 +1128,7 @@ fn e24() -> ExpResult {
     let t1 = Instant::now();
     let mut session_outcomes = Vec::new();
     for j in &candidates {
-        session_outcomes.push(session.check(j).map_err(|e| e.to_string())?);
+        session_outcomes.push(session.check(j));
     }
     let amortized_per_check = t1.elapsed().as_secs_f64() / n_candidates as f64;
 
@@ -1128,7 +1144,7 @@ fn e24() -> ExpResult {
         ensure(o == &session_outcomes[i], "session ≠ one-shot outcome")?;
     }
     for (i, o) in session_outcomes.iter().enumerate() {
-        ensure(batch[i].as_ref() == Ok(o), "parallel batch ≠ sequential outcome")?;
+        ensure(&batch[i] == o, "parallel batch ≠ sequential outcome")?;
     }
 
     let amortized_speedup = one_shot_per_check / amortized_per_check.max(1e-12);
@@ -1162,14 +1178,15 @@ fn e24() -> ExpResult {
 
 // ---------------------------------------------------------------- E25
 /// Budget-enforcement overhead on the PTIME fast path: the same
-/// sequential session batch with the legacy API vs the bounded API
-/// under an armed (but never-tripping) deadline + work budget. Rounds
+/// sequential session batch under an unarmed budget (`check`, i.e.
+/// `Budget::unlimited()`) vs an armed (but never-tripping) deadline +
+/// work budget (`check_bounded`). Rounds
 /// alternate the two modes and the overhead is the median of the
 /// per-round ratios, which shrugs off scheduler noise. The target is
 /// <3% (recorded in `target/budget_overhead.json`); the hard acceptance
 /// bound is 10% to keep the experiment robust on loaded machines.
 fn e25() -> ExpResult {
-    use rpr_core::{Budget, Outcome};
+    use rpr_core::Outcome;
     use std::time::Duration;
 
     let n_facts = 10_000;
@@ -1186,30 +1203,27 @@ fn e25() -> ExpResult {
     let session = CheckSession::new(&w.schema, &pi).with_jobs(1);
 
     // Warm-up + reference verdicts (also primes caches for both modes).
-    let reference: Vec<_> = candidates
-        .iter()
-        .map(|j| session.check(j).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
+    let reference: Vec<_> = candidates.iter().map(|j| session.check(j)).collect();
 
-    // Bounded answers must be bit-identical to the legacy ones.
+    // Armed-budget answers must be bit-identical to the unarmed ones.
     let check_budget =
         Budget::unlimited().with_deadline(Duration::from_secs(600)).with_max_work(u64::MAX / 2);
     for (j, want) in candidates.iter().zip(&reference) {
         match session.check_bounded(j, &check_budget) {
-            Outcome::Done(got) => ensure(&got == want, "bounded ≠ legacy verdict")?,
+            Outcome::Done(got) => ensure(&got == want, "armed ≠ unarmed verdict")?,
             other => return Err(format!("armed budget tripped unexpectedly: {other:?}")),
         }
     }
 
     let mut ratios = Vec::with_capacity(rounds);
-    let mut legacy_total = 0.0f64;
-    let mut bounded_total = 0.0f64;
+    let mut unarmed_total = 0.0f64;
+    let mut armed_total = 0.0f64;
     for _ in 0..rounds {
         let t = Instant::now();
         for j in &candidates {
-            let _ = session.check(j).map_err(|e| e.to_string())?;
+            let _ = session.check(j);
         }
-        let legacy = t.elapsed().as_secs_f64();
+        let unarmed = t.elapsed().as_secs_f64();
 
         // A fresh armed budget per round: deadline + work allowance both
         // live, so every charge takes the full enforcement path.
@@ -1222,24 +1236,24 @@ fn e25() -> ExpResult {
                 other => return Err(format!("armed budget tripped unexpectedly: {other:?}")),
             }
         }
-        let bounded = t.elapsed().as_secs_f64();
+        let armed = t.elapsed().as_secs_f64();
 
-        legacy_total += legacy;
-        bounded_total += bounded;
-        ratios.push(bounded / legacy.max(1e-12));
+        unarmed_total += unarmed;
+        armed_total += armed;
+        ratios.push(armed / unarmed.max(1e-12));
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median_ratio = ratios[rounds / 2];
     let overhead_pct = (median_ratio - 1.0) * 100.0;
-    let legacy_per_check = legacy_total / (rounds * n_candidates) as f64;
-    let bounded_per_check = bounded_total / (rounds * n_candidates) as f64;
+    let unarmed_per_check = unarmed_total / (rounds * n_candidates) as f64;
+    let armed_per_check = armed_total / (rounds * n_candidates) as f64;
     ensure(
         overhead_pct < 10.0,
         "budget enforcement must stay cheap on the PTIME fast path (<10% hard bound)",
     )?;
 
     let json = format!(
-        "{{\n  \"facts\": {n_facts},\n  \"candidates\": {n_candidates},\n  \"rounds\": {rounds},\n  \"legacy_s_per_check\": {legacy_per_check:.9},\n  \"bounded_s_per_check\": {bounded_per_check:.9},\n  \"median_overhead_pct\": {overhead_pct:.3},\n  \"target_pct\": 3.0\n}}\n"
+        "{{\n  \"facts\": {n_facts},\n  \"candidates\": {n_candidates},\n  \"rounds\": {rounds},\n  \"unarmed_s_per_check\": {unarmed_per_check:.9},\n  \"armed_s_per_check\": {armed_per_check:.9},\n  \"median_overhead_pct\": {overhead_pct:.3},\n  \"target_pct\": 3.0\n}}\n"
     );
     let out_path = "target/budget_overhead.json";
     let _ = std::fs::create_dir_all("target");
@@ -1248,9 +1262,9 @@ fn e25() -> ExpResult {
     Ok(vec![
         "extension: armed deadlines/work budgets must not tax the polynomial checkers".into(),
         format!(
-            "measured: {n_candidates} candidates × {rounds} rounds on {n_facts} facts — legacy {:.3}ms/check, bounded {:.3}ms/check, median overhead {overhead_pct:.2}% (target <3%)",
-            legacy_per_check * 1e3,
-            bounded_per_check * 1e3,
+            "measured: {n_candidates} candidates × {rounds} rounds on {n_facts} facts — unarmed {:.3}ms/check, armed {:.3}ms/check, median overhead {overhead_pct:.2}% (target <3%)",
+            unarmed_per_check * 1e3,
+            armed_per_check * 1e3,
         ),
         format!("measured: JSON written to {out_path}"),
     ])
@@ -1715,7 +1729,7 @@ fn chain_setup(
 }
 
 /// Best-of-`reps` wall clock of `f`.
-fn best_of(reps: usize, mut f: impl FnMut() -> Result<(), String>) -> Result<f64, String> {
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> Result<T, String>) -> Result<f64, String> {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
@@ -1750,7 +1764,7 @@ fn e30() -> ExpResult {
     // -- Verdict/witness bit-identity across jobs on the serve shape --
     let (schema_a, pi_a, j_a) = chain_setup(COMPONENTS, SERVE_SIZE)?;
     let base = CheckSession::new(&schema_a, &pi_a).with_jobs(1);
-    let v_opt = base.check(&j_a).map_err(|e| e.to_string())?;
+    let v_opt = base.check(&j_a);
     ensure(v_opt.is_optimal(), "the even-offset repair is globally optimal")?;
     // {f1, f4} per chain is a repair improved by J (f2 beats f1).
     let improvable = pi_a
@@ -1767,7 +1781,7 @@ fn e30() -> ExpResult {
             )?;
         }
     }
-    match base.check(&improvable).map_err(|e| e.to_string())? {
+    match base.check(&improvable) {
         rpr_core::CheckOutcome::Improvable(_) => {}
         other => return Err(format!("{{f1, f4}} chains must be improvable, got {other:?}")),
     }
@@ -1783,11 +1797,7 @@ fn e30() -> ExpResult {
         &format!("the committed workload splits into {COMPONENTS} shards"),
     )?;
     ensure(
-        CheckSession::new(&ws.schema, &ws_pi)
-            .with_jobs(8)
-            .check(&ws_j)
-            .map_err(|e| e.to_string())?
-            .is_optimal(),
+        CheckSession::new(&ws.schema, &ws_pi).with_jobs(8).check(&ws_j).is_optimal(),
         "the committed workload's repair J is globally optimal under 8-job sharding",
     )?;
 
@@ -1813,8 +1823,8 @@ fn e30() -> ExpResult {
         session1.check(&j_b) == session8.check(&j_b),
         "heavy workload: jobs=8 verdict must equal jobs=1",
     )?;
-    let t1_us = best_of(10, || session1.check(&j_b).map(drop).map_err(|e| e.to_string()))?;
-    let t8_us = best_of(10, || session8.check(&j_b).map(drop).map_err(|e| e.to_string()))?;
+    let t1_us = best_of(10, || Ok(session1.check(&j_b)))?;
+    let t8_us = best_of(10, || Ok(session8.check(&j_b)))?;
     let jobs_speedup = t1_us / t8_us;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let wall_clock_gated = cores >= 8;
@@ -1833,17 +1843,11 @@ fn e30() -> ExpResult {
     let cg = local.conflict_graph();
     let domain = pi_c.instance().full_set();
     ensure(
-        check_global_exact(cg, pi_c.priority(), &domain, &j_c, 1 << 30)
-            .map_err(|e| e.to_string())?
-            == local.check(&j_c).map_err(|e| e.to_string())?,
+        exact_search(cg, pi_c.priority(), &domain, &j_c, 1 << 30)? == local.check(&j_c),
         "whole-domain and component-local searches agree on the verdict",
     )?;
-    let local_us = best_of(50, || local.check(&j_c).map(drop).map_err(|e| e.to_string()))?;
-    let whole_us = best_of(10, || {
-        check_global_exact(cg, pi_c.priority(), &domain, &j_c, 1 << 30)
-            .map(drop)
-            .map_err(|e| e.to_string())
-    })?;
+    let local_us = best_of(50, || Ok(local.check(&j_c)))?;
+    let whole_us = best_of(10, || exact_search(cg, pi_c.priority(), &domain, &j_c, 1 << 30))?;
     let local_speedup = whole_us / local_us;
     ensure(
         local_speedup >= 10.0,
@@ -2018,16 +2022,12 @@ fn e31() -> ExpResult {
     let warm_store = ShardStore::new();
     // One cold pass builds the shards and fills their verdict memos.
     let warm_art = SessionArtifacts::build_with_store(&schema_b, &pi_b, Some(&warm_store));
-    let v_warm = CheckSession::from_artifacts(&schema_b, &pi_b, &warm_art)
-        .check(&j_b)
-        .map_err(|e| e.to_string())?;
+    let v_warm = CheckSession::from_artifacts(&schema_b, &pi_b, &warm_art).check(&j_b);
     // Copy-per-session: every new session re-derives private shard
     // artifacts and re-runs every component search from scratch.
     let private_us = best_of(5, || {
         let art = SessionArtifacts::build(&schema_b, &pi_b);
-        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art)
-            .check(&j_b)
-            .map_err(|e| e.to_string())?;
+        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art).check(&j_b);
         if v != v_warm {
             return Err("private verdict diverges from the store-backed one".into());
         }
@@ -2037,9 +2037,7 @@ fn e31() -> ExpResult {
     // memoized verdicts) come from the warmed store.
     let stored_us = best_of(5, || {
         let art = SessionArtifacts::build_with_store(&schema_b, &pi_b, Some(&warm_store));
-        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art)
-            .check(&j_b)
-            .map_err(|e| e.to_string())?;
+        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art).check(&j_b);
         if v != v_warm {
             return Err("store-backed verdict diverges across sessions".into());
         }

@@ -17,8 +17,8 @@ use rpr_bench::{
 };
 use rpr_classify::{classify_schema, classify_schema_ccp};
 use rpr_core::{
-    check_global_exact, enumerate_repairs, is_completion_optimal, is_globally_optimal_brute,
-    is_pareto_optimal, CcpChecker, GRepairChecker,
+    check_global_exact_bounded, enumerate_repairs, is_completion_optimal,
+    is_globally_optimal_brute, is_pareto_optimal, Budget, CcpChecker, GRepairChecker,
 };
 use rpr_gen::random_schema;
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
@@ -38,7 +38,7 @@ fn classical_check_time(w: &Workload, reps: u32) -> f64 {
     let pi =
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .expect("workload priorities are conflict-restricted");
-    time_us(reps, || checker.check(&pi, &w.j).unwrap().is_optimal())
+    time_us(reps, || checker.check(&pi, &w.j).is_optimal())
 }
 
 fn dichotomy_csv() -> String {
@@ -50,8 +50,9 @@ fn dichotomy_csv() -> String {
         let cg = wh.conflict_graph();
         let empty = PriorityRelation::empty(wh.instance.len());
         let t3 = time_us(3, || {
-            check_global_exact(&cg, &empty, &wh.instance.full_set(), &wh.j, 1 << 30)
-                .unwrap()
+            let budget = Budget::unlimited();
+            check_global_exact_bounded(&cg, &empty, &wh.instance.full_set(), &wh.j, &budget)
+                .expect_done("unlimited budget")
                 .is_optimal()
         });
         let _ = writeln!(out, "{n},{t1:.2},{t2:.2},{t3:.2}");
@@ -70,7 +71,7 @@ fn poly_scaling_csv() -> String {
         let w3 = ccp_pk_workload(n, (n as u32 / 6).max(2), n, 47);
         let checker = CcpChecker::new(w3.schema.clone());
         let pi = PrioritizedInstance::cross_conflict(w3.instance.clone(), w3.priority.clone());
-        let t3 = time_us(10, || checker.check(&pi, &w3.j).unwrap().is_optimal());
+        let t3 = time_us(10, || checker.check(&pi, &w3.j).is_optimal());
         let cg1 = w1.conflict_graph();
         let t4 = time_us(10, || is_pareto_optimal(&cg1, &w1.priority, &w1.j));
         let t5 = time_us(10, || is_completion_optimal(&cg1, &w1.priority, &w1.j));

@@ -3,13 +3,17 @@
 //! ```text
 //! rpr classify  FILE
 //! rpr check     FILE [REPAIR_NAME]
-//! rpr repairs   FILE [--semantics all|pareto|global|completion] [--budget N]
+//! rpr repairs   FILE [--semantics all|pareto|global|completion]
 //! rpr construct FILE
-//! rpr cqa       FILE "q(?x) <- R(?x, c)" [--semantics …] [--budget N]
+//! rpr cqa       FILE "q(?x) <- R(?x, c)" [--semantics …]
 //! ```
 //!
-//! `FILE` is a `.rpr` workspace (see `rpr_cli::format`). Exit codes:
-//! 0 success, 1 usage error, 2 parse/command error, 4 budget exceeded
+//! `FILE` is a `.rpr` workspace (see `rpr_cli::format`). `check`,
+//! `repairs`, `cqa` and `certify` run under one engine budget built from
+//! `--timeout-ms`, `--max-work` and `--cancel-after-ms`; with none of
+//! them the whole command gets [`DEFAULT_MAX_WORK`] work units. Exit
+//! codes: 0 success, 1 usage error (including an unknown option or an
+//! option missing its value), 2 parse/command error, 4 budget exceeded
 //! with a partial result (`--on-exceed partial`), 5 cancelled.
 
 use rpr_cli::commands::{self, BoundedRun, RunStatus};
@@ -26,10 +30,10 @@ commands:
   classify  FILE [--explain]          report both dichotomy classifications
                                       (--explain adds Armstrong certificates)
   check     FILE [NAME] [--jobs N]    check candidate repair(s) declared in the file
-  repairs   FILE [--semantics S] [--budget N] [--jobs N]
+  repairs   FILE [--semantics S] [--jobs N]
                                       enumerate repairs (S: all|pareto|global|completion)
   construct FILE                      build one globally-optimal repair (always PTIME)
-  cqa       FILE QUERY [--semantics S] [--budget N] [--jobs N]
+  cqa       FILE QUERY [--semantics S] [--jobs N]
                                       certain/possible answers, e.g. \"q(?x) <- R(?x, c)\"
   discover  FILE [--max-lhs N]        mine the FDs holding in the declared facts
   lint      FILE                      normal-form + dichotomy report per relation
@@ -64,8 +68,9 @@ commands:
 options:
   --jobs N            worker threads for check/repairs/cqa parallel fan-out
                       (default: available parallelism; 1 = sequential)
-  --timeout-ms MS     wall-clock deadline for check/repairs/cqa
-  --max-work N        work-unit allowance for check/repairs/cqa
+  --timeout-ms MS     wall-clock deadline for check/repairs/cqa/certify
+  --max-work N        work-unit allowance for check/repairs/cqa/certify
+                      (default 4194304 when no limit option is given)
   --cancel-after-ms MS  fire the cooperative cancel token after MS
   --on-exceed MODE    fail (default): a tripped budget is an error (exit 2)
                       partial: report the partial result, exit 4
@@ -117,6 +122,50 @@ enum OnExceed {
     Partial,
 }
 
+/// The work allowance of a `check`/`repairs`/`cqa`/`certify` run given
+/// none of `--timeout-ms`, `--max-work` and `--cancel-after-ms`.
+const DEFAULT_MAX_WORK: u64 = 1 << 22;
+
+/// Every option that takes a value, across all commands.
+const VALUE_OPTIONS: &[&str] = &[
+    "--semantics",
+    "--jobs",
+    "--timeout-ms",
+    "--max-work",
+    "--cancel-after-ms",
+    "--on-exceed",
+    "--max-lhs",
+    "--out",
+    "--addr",
+    "--queue",
+    "--cache",
+    "--cache-bytes-max",
+    "--idle-timeout-ms",
+    "--requests-per-conn",
+    "--max-connections",
+    "--repairs",
+    "--query",
+];
+
+/// Every bare switch, across all commands.
+const SWITCHES: &[&str] = &["--explain", "--classify", "--self-audit"];
+
+/// Rejects unknown `--options` and value-taking options given without a
+/// value, so a mistyped limit fails loudly instead of being ignored.
+fn check_options(args: &[String]) -> Result<(), UsageOr> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_OPTIONS.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(UsageOr::Usage(format!("option `{arg}` needs a value")));
+            }
+        } else if arg.starts_with("--") && !SWITCHES.contains(&arg.as_str()) {
+            return Err(UsageOr::Usage(format!("unknown option `{arg}`")));
+        }
+    }
+    Ok(())
+}
+
 fn opt_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
@@ -152,6 +201,7 @@ fn resolve_bounded(run: BoundedRun, on_exceed: &OnExceed) -> Result<CliResult, U
 
 fn run(args: &[String]) -> Result<CliResult, UsageOr> {
     let command = args.first().ok_or_else(|| UsageOr::Usage("missing command".into()))?;
+    check_options(args)?;
     // Network commands take no workspace file argument up front, and
     // `audit` reads certificate lines rather than a workspace.
     match command.as_str() {
@@ -175,13 +225,8 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
     // Worker threads for the check session's parallel fan-out
     // (`0`/absent → available parallelism, shared with `rpr serve`).
     let jobs: usize = rpr_core::resolve_jobs(opt_parse(args, "--jobs")?);
-    let budget: usize = match opt_value(args, "--budget") {
-        Some(b) => b.parse().map_err(|_| UsageOr::Command(format!("bad --budget value `{b}`")))?,
-        None => 1 << 22,
-    };
 
-    // Engine execution control: any of these flags routes check/
-    // repairs/cqa through the bounded entry points.
+    // One engine budget meters the whole command.
     let timeout_ms: Option<u64> = opt_parse(args, "--timeout-ms")?;
     let max_work: Option<u64> = opt_parse(args, "--max-work")?;
     let cancel_after_ms: Option<u64> = opt_parse(args, "--cancel-after-ms")?;
@@ -194,21 +239,17 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
             )))
         }
     };
-    let engine = if timeout_ms.is_some() || max_work.is_some() || cancel_after_ms.is_some() {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = timeout_ms {
-            b = b.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(w) = max_work {
-            b = b.with_max_work(w);
-        }
-        if let Some(ms) = cancel_after_ms {
-            b.cancel_token().cancel_after(Duration::from_millis(ms));
-        }
-        Some(b)
-    } else {
-        None
-    };
+    let unflagged = timeout_ms.is_none() && max_work.is_none() && cancel_after_ms.is_none();
+    let mut budget = Budget::unlimited();
+    if let Some(ms) = timeout_ms {
+        budget = budget.with_deadline(Duration::from_millis(ms));
+    }
+    if let Some(w) = max_work.or(unflagged.then_some(DEFAULT_MAX_WORK)) {
+        budget = budget.with_max_work(w);
+    }
+    if let Some(ms) = cancel_after_ms {
+        budget.cancel_token().cancel_after(Duration::from_millis(ms));
+    }
 
     match command.as_str() {
         "classify" => {
@@ -220,27 +261,15 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
         }
         "check" => {
             let name = args.get(2).filter(|a| !a.starts_with("--")).map(|s| s.as_str());
-            match &engine {
-                Some(b) => {
-                    let run = commands::check_bounded_with_jobs(&ws, name, jobs, b)
-                        .map_err(|e| UsageOr::Command(e.to_string()))?;
-                    resolve_bounded(run, &on_exceed)
-                }
-                None => commands::check_with_jobs(&ws, name, jobs)
-                    .map(CliResult::ok)
-                    .map_err(|e| UsageOr::Command(e.to_string())),
-            }
+            let run = commands::check_bounded_with_jobs(&ws, name, jobs, &budget)
+                .map_err(|e| UsageOr::Command(e.to_string()))?;
+            resolve_bounded(run, &on_exceed)
         }
-        "repairs" => match &engine {
-            Some(b) => {
-                let run = commands::repairs_bounded_with_jobs(&ws, &semantics, jobs, b)
-                    .map_err(|e| UsageOr::Command(e.to_string()))?;
-                resolve_bounded(run, &on_exceed)
-            }
-            None => commands::repairs_with_jobs(&ws, &semantics, budget, jobs)
-                .map(CliResult::ok)
-                .map_err(|e| UsageOr::Command(e.to_string())),
-        },
+        "repairs" => {
+            let run = commands::repairs_bounded_with_jobs(&ws, &semantics, jobs, &budget)
+                .map_err(|e| UsageOr::Command(e.to_string()))?;
+            resolve_bounded(run, &on_exceed)
+        }
         "construct" => Ok(CliResult::ok(commands::construct(&ws))),
         "discover" => {
             let max_lhs: usize = match opt_value(args, "--max-lhs") {
@@ -302,7 +331,7 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
         "certify" => {
             let name = args.get(2).filter(|a| !a.starts_with("--")).map(|s| s.as_str());
             let classify_only = args.iter().any(|a| a == "--classify");
-            commands::certify(&ws, name, classify_only)
+            commands::certify(&ws, name, classify_only, &budget)
                 .map(CliResult::ok)
                 .map_err(|e| UsageOr::Command(e.to_string()))
         }
@@ -312,16 +341,9 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
                 .get(2)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or_else(|| UsageOr::Usage("cqa needs a query argument".into()))?;
-            match &engine {
-                Some(b) => {
-                    let run = commands::cqa_bounded_with_jobs(&ws, query, &semantics, jobs, b)
-                        .map_err(|e| UsageOr::Command(e.to_string()))?;
-                    resolve_bounded(run, &on_exceed)
-                }
-                None => commands::cqa_with_jobs(&ws, query, &semantics, budget, jobs)
-                    .map(CliResult::ok)
-                    .map_err(|e| UsageOr::Command(e.to_string())),
-            }
+            let run = commands::cqa_bounded_with_jobs(&ws, query, &semantics, jobs, &budget)
+                .map_err(|e| UsageOr::Command(e.to_string()))?;
+            resolve_bounded(run, &on_exceed)
         }
         other => Err(UsageOr::Usage(format!("unknown command `{other}`"))),
     }

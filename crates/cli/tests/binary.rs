@@ -94,19 +94,27 @@ fn derive_and_lint_and_discover_run() {
 }
 
 #[test]
-fn budget_flag_is_parsed_and_enforced() {
+fn unknown_options_and_missing_values_are_usage_errors() {
+    // The removed step-budget flag fails loudly instead of running
+    // unbounded.
     let out = rpr(&["repairs", &workload("running_example.rpr"), "--budget", "2"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8(out.stderr).unwrap().contains("budget"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("unknown option `--budget`"));
 
-    let out = rpr(&["repairs", &workload("running_example.rpr"), "--budget", "nope"]);
-    assert_eq!(out.status.code(), Some(2));
+    // A mistyped limit is not silently dropped.
+    let out = rpr(&["check", &workload("running_example.rpr"), "J2", "--timout-ms", "5"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("unknown option `--timout-ms`"));
+
+    // A value-taking option given last with no value.
+    let out = rpr(&["repairs", &workload("running_example.rpr"), "--max-work"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("option `--max-work` needs a value"));
 }
 
 #[test]
 fn engine_budget_flags_and_exit_codes() {
-    // fail mode (default): a tripped budget is a command error (exit 2),
-    // same contract as the legacy --budget flag.
+    // fail mode (default): a tripped budget is a command error (exit 2).
     let out = rpr(&["repairs", &workload("hard_blowup.rpr"), "--max-work", "10000"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("budget exceeded"));

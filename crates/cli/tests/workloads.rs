@@ -1,10 +1,31 @@
 //! Integration tests driving the shipped `.rpr` workloads through the
 //! command layer — the same paths the `rpr` binary exercises.
 
-use rpr_cli::commands::{check, classify, construct, cqa, repairs};
+use rpr_cli::commands::{
+    check_bounded_with_jobs, classify, construct, cqa_bounded_with_jobs, repairs_bounded_with_jobs,
+    BoundedRun, CommandError, RunStatus,
+};
 use rpr_cli::format::parse_workspace;
+use rpr_cli::format::Workspace;
+use rpr_core::Budget;
 
-fn load(name: &str) -> rpr_cli::format::Workspace {
+/// The report of a run that must finish within the CLI's flagless
+/// allowance.
+fn done(run: Result<BoundedRun, CommandError>) -> String {
+    let run = run.expect("command runs");
+    assert!(matches!(run.status, RunStatus::Done), "{:?}", run.status);
+    run.report
+}
+
+fn budget() -> Budget {
+    Budget::unlimited().with_max_work(1 << 22)
+}
+
+fn check(ws: &Workspace, name: Option<&str>) -> String {
+    done(check_bounded_with_jobs(ws, name, 1, &budget()))
+}
+
+fn load(name: &str) -> Workspace {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workloads/");
     let text = std::fs::read_to_string(format!("{path}{name}")).expect("workload file");
     parse_workspace(&text).expect("workload parses")
@@ -20,18 +41,17 @@ fn running_example_workload_end_to_end() {
     assert!(report.contains("Theorem 3.1 (conflict-restricted priorities): PTIME"));
 
     // J2 is the paper's globally-optimal repair; J1 is improvable.
-    let r = check(&ws, Some("J2")).unwrap();
+    let r = check(&ws, Some("J2"));
     assert!(r.contains("J2: globally-optimal repair"), "{r}");
-    let r = check(&ws, Some("J1")).unwrap();
+    let r = check(&ws, Some("J1"));
     assert!(r.contains("NOT globally optimal"), "{r}");
     // J4 is a repair but not globally optimal under the full priority.
-    let r = check(&ws, Some("J4")).unwrap();
+    let r = check(&ws, Some("J4"));
     assert!(r.contains("J4:"));
 
     // Enumerations shrink with the semantics.
     let count = |s: &str| -> usize {
-        repairs(&ws, s, 1 << 22)
-            .unwrap()
+        done(repairs_bounded_with_jobs(&ws, s, 1, &budget()))
             .lines()
             .next()
             .unwrap()
@@ -55,7 +75,7 @@ fn running_example_workload_end_to_end() {
 
     // CQA: almaden is certain under the global semantics.
     let q = "q(?loc) <- BookLoc(b1, ?g, ?l), LibLoc(?l, ?loc)";
-    let res = cqa(&ws, q, "global", 1 << 22).unwrap();
+    let res = done(cqa_bounded_with_jobs(&ws, q, "global", 1, &budget()));
     assert!(res.contains("certain : (almaden)"), "{res}");
 }
 
@@ -66,9 +86,9 @@ fn source_trust_workload_is_ccp_and_polynomial() {
     let report = classify(&ws);
     assert!(report.contains("Theorem 7.1 (cross-conflict priorities): PTIME"), "{report}");
 
-    let r = check(&ws, Some("gold_view")).unwrap();
+    let r = check(&ws, Some("gold_view"));
     assert!(r.contains("gold_view: globally-optimal repair"), "{r}");
-    let r = check(&ws, Some("scratch_view")).unwrap();
+    let r = check(&ws, Some("scratch_view"));
     assert!(r.contains("NOT globally optimal"), "{r}");
 }
 
@@ -81,6 +101,6 @@ fn hard_s4_workload_uses_the_exact_fallback() {
 
     // The declared J = {R4(a,y,1), R4(c,y,2)}: R4(a,x,1) ≻ R4(a,y,1)
     // makes it improvable.
-    let r = check(&ws, Some("J")).unwrap();
+    let r = check(&ws, Some("J"));
     assert!(r.contains("NOT globally optimal"), "{r}");
 }

@@ -7,14 +7,14 @@
 //! on the hard side of the dichotomy nothing better than exponential
 //! search exists unless P = NP.
 //!
-//! Every oracle exists in two forms: the legacy step-budget interface
+//! Every oracle exists in two forms: a plain step-budget interface
 //! (`Result<_, BudgetExceeded>`, counting recursion steps against a
-//! plain `usize`) and a `_bounded` variant running under an
+//! `usize`; the tests' reference form) and a `_bounded` variant running under an
 //! [`rpr_engine::Budget`] — same search, same step charging, but with a
 //! wall-clock deadline, cooperative cancellation, and an
 //! [`Outcome`] that carries whatever partial answer had accumulated
-//! when a limit tripped. The legacy functions are thin wrappers over
-//! the bounded implementations, so there is exactly one search.
+//! when a limit tripped. The step-budget functions are thin wrappers
+//! over the bounded implementations, so there is exactly one search.
 //!
 //! A useful reduction keeps the search space small: if `J` has a global
 //! (resp. Pareto) improvement, it has one that is a *repair* — extend
@@ -30,10 +30,10 @@ use rpr_engine::{Budget, Outcome, Stop};
 use rpr_fd::ConflictGraph;
 use rpr_priority::PriorityRelation;
 
-/// Maps a [`Stop`] from a private work-only budget back to the legacy
-/// error. Such budgets have no deadline and an unshared token, so the
+/// Maps a [`Stop`] from a private work-only budget back to the
+/// step-budget error. Such budgets have no deadline and an unshared token, so the
 /// only reachable stop is work exhaustion.
-fn legacy_stop(stop: Stop, budget: usize) -> BudgetExceeded {
+fn step_budget_error(stop: Stop, budget: usize) -> BudgetExceeded {
     match stop {
         Stop::Exceeded(_) => BudgetExceeded { budget },
         Stop::Cancelled => unreachable!("a private work-only budget is never cancelled"),
@@ -56,7 +56,7 @@ pub fn enumerate_repairs(
         out.push(r.clone());
         true
     })
-    .map_err(|stop| legacy_stop(stop, budget))?;
+    .map_err(|stop| step_budget_error(stop, budget))?;
     Ok(out)
 }
 
@@ -85,7 +85,7 @@ pub fn for_each_repair(
     visit: impl FnMut(&FactSet) -> bool,
 ) -> Result<(), BudgetExceeded> {
     let b = Budget::unlimited().with_max_work(budget as u64);
-    for_each_repair_stop(cg, &b, visit).map_err(|stop| legacy_stop(stop, budget))
+    for_each_repair_stop(cg, &b, visit).map_err(|stop| step_budget_error(stop, budget))
 }
 
 /// [`for_each_repair`] under a caller-supplied [`Budget`]: streams
@@ -168,7 +168,8 @@ pub fn find_global_improvement_brute(
     budget: usize,
 ) -> Result<Option<Improvement>, BudgetExceeded> {
     let b = Budget::unlimited().with_max_work(budget as u64);
-    find_global_improvement_stop(cg, priority, j, &b).map_err(|stop| legacy_stop(stop, budget))
+    find_global_improvement_stop(cg, priority, j, &b)
+        .map_err(|stop| step_budget_error(stop, budget))
 }
 
 /// [`find_global_improvement_brute`] under a caller-supplied
@@ -215,7 +216,7 @@ pub fn is_globally_optimal_brute(
     budget: usize,
 ) -> Result<bool, BudgetExceeded> {
     let b = Budget::unlimited().with_max_work(budget as u64);
-    is_globally_optimal_stop(cg, priority, j, &b).map_err(|stop| legacy_stop(stop, budget))
+    is_globally_optimal_stop(cg, priority, j, &b).map_err(|stop| step_budget_error(stop, budget))
 }
 
 /// [`is_globally_optimal_brute`] under a caller-supplied [`Budget`].
@@ -326,63 +327,18 @@ pub fn count_globally_optimal_repairs_bounded(
     globally_optimal_repairs_bounded(cg, priority, budget).map(|r| r.len())
 }
 
-/// Enumerates all repairs against a [`CheckSession`]'s cached conflict
-/// graph (no per-call graph construction).
-///
-/// # Errors
-/// [`BudgetExceeded`] when more than `budget` recursion steps are
-/// needed.
-pub fn enumerate_repairs_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    enumerate_repairs(session.conflict_graph(), budget)
-}
-
-/// Streams every repair of the session's instance to `visit`; stop
-/// early by returning `false`.
-///
-/// # Errors
-/// [`BudgetExceeded`] when more than `budget` recursion steps are
-/// needed.
-pub fn for_each_repair_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-    visit: impl FnMut(&FactSet) -> bool,
-) -> Result<(), BudgetExceeded> {
-    for_each_repair(session.conflict_graph(), budget, visit)
-}
-
 /// Enumerates the globally-optimal repairs by filtering the repair
 /// enumeration through the session's dispatched (polynomial where
 /// possible) checker, fanning the checks out across the session's
 /// workers. Agrees with [`globally_optimal_repairs`] and keeps the
 /// enumeration order.
 ///
-/// # Errors
-/// [`BudgetExceeded`] if enumeration or a hard-side check exceeds its
-/// budget.
-pub fn globally_optimal_repairs_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    let repairs = enumerate_repairs_session(session, budget)?;
-    let outcomes = session.check_batch(&repairs);
-    let mut out = Vec::new();
-    for (j, outcome) in repairs.into_iter().zip(outcomes) {
-        if outcome?.is_optimal() {
-            out.push(j);
-        }
-    }
-    Ok(out)
-}
-
-/// [`globally_optimal_repairs_session`] under a caller-supplied
-/// [`Budget`]: bounded enumeration, then a bounded parallel batch
-/// check. On degradation — a tripped limit, a cancellation, or a
-/// panicking candidate — the partial answer is every repair whose check
-/// *did* complete with an optimal verdict; the first non-`Done`
-/// candidate outcome (in enumeration order) determines the variant.
+/// Runs under a caller-supplied [`Budget`]: bounded enumeration, then a
+/// bounded parallel batch check. On degradation — a tripped limit, a
+/// cancellation, or a panicking candidate — the partial answer is every
+/// repair whose check *did* complete with an optimal verdict; the first
+/// non-`Done` candidate outcome (in enumeration order) determines the
+/// variant.
 pub fn globally_optimal_repairs_session_bounded(
     session: &CheckSession<'_>,
     budget: &Budget,
@@ -417,20 +373,8 @@ pub fn globally_optimal_repairs_session_bounded(
 }
 
 /// Counts globally-optimal repairs via
-/// [`globally_optimal_repairs_session`].
-///
-/// # Errors
-/// [`BudgetExceeded`] if enumeration or a hard-side check exceeds its
-/// budget.
-pub fn count_globally_optimal_repairs_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<usize, BudgetExceeded> {
-    Ok(globally_optimal_repairs_session(session, budget)?.len())
-}
-
-/// [`count_globally_optimal_repairs_session`] under a caller-supplied
-/// [`Budget`]; the partial count on degradation is a lower bound.
+/// [`globally_optimal_repairs_session_bounded`]; the partial count on
+/// degradation is a lower bound.
 pub fn count_globally_optimal_repairs_session_bounded(
     session: &CheckSession<'_>,
     budget: &Budget,
@@ -511,7 +455,7 @@ mod tests {
     fn bounded_enumeration_degrades_with_a_partial_prefix() {
         let (cg, _) = grouped();
         let full = enumerate_repairs(&cg, 1 << 20).unwrap();
-        // Unlimited: identical to the legacy interface.
+        // Unlimited: identical to the step-budget interface.
         assert_eq!(
             enumerate_repairs_bounded(&cg, &Budget::unlimited()).expect_done("unlimited"),
             full
@@ -537,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_oracles_agree_with_legacy_on_full_budgets() {
+    fn bounded_oracles_agree_with_step_budgets_on_full_budgets() {
         let (cg, i) = grouped();
         let p = PriorityRelation::new(
             i.len(),

@@ -11,7 +11,7 @@
 //! `dichotomy_gap` measures exactly this fall-back against the
 //! polynomial algorithms.
 
-use crate::improvement::{is_global_improvement, BudgetExceeded, CheckOutcome, Improvement};
+use crate::improvement::{is_global_improvement, CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use rpr_data::FactSet;
 use rpr_engine::{Budget, Outcome, Stop};
@@ -20,30 +20,8 @@ use rpr_priority::PriorityRelation;
 
 /// Exhaustively searches for a global improvement of `j` among the
 /// repairs contained in `domain` (pass the full set for whole-instance
-/// checking).
-///
-/// Legacy step-budget interface; [`check_global_exact_bounded`] is the
-/// same search under a full [`Budget`] (deadline + cancellation).
-///
-/// # Errors
-/// [`BudgetExceeded`] if the enumeration exceeds `budget` steps.
-pub fn check_global_exact(
-    cg: &ConflictGraph,
-    priority: &PriorityRelation,
-    domain: &FactSet,
-    j: &FactSet,
-    budget: usize,
-) -> Result<CheckOutcome, BudgetExceeded> {
-    let b = Budget::unlimited().with_max_work(budget as u64);
-    check_global_exact_stop(cg, priority, domain, j, &b).map_err(|stop| match stop {
-        Stop::Exceeded(_) => BudgetExceeded { budget },
-        Stop::Cancelled => unreachable!("a private work-only budget is never cancelled"),
-    })
-}
-
-/// [`check_global_exact`] under a caller-supplied [`Budget`]: the
-/// search charges one work unit per recursion node and honours the
-/// budget's deadline and cancellation token.
+/// checking). The search charges one work unit per recursion node and
+/// honours the budget's deadline and cancellation token.
 pub fn check_global_exact_bounded(
     cg: &ConflictGraph,
     priority: &PriorityRelation,
@@ -192,7 +170,9 @@ mod tests {
             .unwrap();
         let domain = i.full_set();
         for j in enumerate_repairs(&cg, 1 << 22).unwrap() {
-            let fast = check_global_exact(&cg, &p, &domain, &j, 1 << 22).unwrap().is_optimal();
+            let fast = check_global_exact_bounded(&cg, &p, &domain, &j, &Budget::unlimited())
+                .expect_done("unlimited budget")
+                .is_optimal();
             let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 22).unwrap();
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(&j));
         }
@@ -208,7 +188,11 @@ mod tests {
         };
         // With an empty priority every repair is optimal, so the search
         // must run to exhaustion — and trip a tiny budget.
-        assert!(check_global_exact(&cg, &p, &i.full_set(), &j, 2).is_err());
+        let tight = Budget::unlimited().with_max_work(2);
+        assert!(matches!(
+            check_global_exact_bounded(&cg, &p, &i.full_set(), &j, &tight),
+            Outcome::Exceeded { .. }
+        ));
     }
 
     #[test]
@@ -217,10 +201,11 @@ mod tests {
         let p = PriorityRelation::empty(i.len());
         let j = enumerate_repairs(&cg, 1 << 22).unwrap()[0].clone();
         let domain = i.full_set();
-        // Unlimited budget: identical verdict to the legacy interface.
+        // Unlimited budget: every repair is optimal under the empty
+        // priority.
         let full = check_global_exact_bounded(&cg, &p, &domain, &j, &Budget::unlimited())
             .expect_done("unlimited budget");
-        assert_eq!(Ok(full), check_global_exact(&cg, &p, &domain, &j, 1 << 22));
+        assert_eq!(full, CheckOutcome::Optimal);
         // Tiny work allowance: Exceeded with a work-exhausted report.
         let tight = Budget::unlimited().with_max_work(2);
         match check_global_exact_bounded(&cg, &p, &domain, &j, &tight) {
@@ -253,8 +238,8 @@ mod tests {
         let p = PriorityRelation::empty(i.len());
         let bad = i.set_of([0, 1].map(FactId));
         assert!(matches!(
-            check_global_exact(&cg, &p, &i.full_set(), &bad, 1024).unwrap(),
-            CheckOutcome::Inconsistent(..)
+            check_global_exact_bounded(&cg, &p, &i.full_set(), &bad, &Budget::unlimited()),
+            Outcome::Done(CheckOutcome::Inconsistent(..))
         ));
     }
 }

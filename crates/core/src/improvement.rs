@@ -90,7 +90,7 @@ impl CheckOutcome {
     }
 }
 
-/// Budget error for the exponential fall-back paths.
+/// Step-budget error of the brute-force oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetExceeded {
     /// The exhausted budget (number of search steps).

@@ -49,11 +49,9 @@ pub mod shard_store;
 
 pub use brute::{
     count_globally_optimal_repairs, count_globally_optimal_repairs_bounded,
-    count_globally_optimal_repairs_session, count_globally_optimal_repairs_session_bounded,
-    enumerate_repairs, enumerate_repairs_bounded, enumerate_repairs_session,
+    count_globally_optimal_repairs_session_bounded, enumerate_repairs, enumerate_repairs_bounded,
     find_global_improvement_brute, find_global_improvement_brute_bounded, for_each_repair,
-    for_each_repair_bounded, for_each_repair_session, globally_optimal_repairs,
-    globally_optimal_repairs_bounded, globally_optimal_repairs_session,
+    for_each_repair_bounded, globally_optimal_repairs, globally_optimal_repairs_bounded,
     globally_optimal_repairs_session_bounded, is_globally_optimal_brute,
     is_globally_optimal_brute_bounded,
 };
@@ -61,7 +59,7 @@ pub use certificate::{
     BlockEvidence, CertVerdict, Certificate, CheckCert, ClassificationCert, ImprovementWitness,
     OptimalScope,
 };
-pub use checker::{CcpChecker, GRepairChecker, Method, DEFAULT_EXACT_BUDGET};
+pub use checker::{CcpChecker, GRepairChecker, Method};
 // The execution-control vocabulary of the bounded entry points, so
 // downstream crates need not depend on rpr-engine directly.
 pub use completion::{
@@ -70,7 +68,7 @@ pub use completion::{
 };
 pub use construct::construct_globally_optimal_repair;
 pub use delta::{DeltaError, DeltaOp, DeltaReport, DeltaSession, REBUILD_CHURN_PERCENT};
-pub use exact::{check_global_exact, check_global_exact_bounded};
+pub use exact::check_global_exact_bounded;
 pub use fingerprint::{
     content_fingerprint, priority_edge_fingerprint, priority_fingerprint, schema_fingerprint,
 };

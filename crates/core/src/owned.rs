@@ -83,13 +83,13 @@ mod tests {
         let preferred = instance.set_of([rpr_data::FactId(0)]);
         let dominated = instance.set_of([rpr_data::FactId(1)]);
 
-        let via_view = owned.session().check(&preferred).unwrap();
+        let via_view = owned.session().check(&preferred);
         assert!(via_view.is_optimal());
-        assert!(!owned.session().check(&dominated).unwrap().is_optimal());
+        assert!(!owned.session().check(&dominated).is_optimal());
 
         // Same verdicts as a session built from scratch.
         let fresh = CheckSession::new(owned.schema(), owned.prioritized());
-        assert_eq!(fresh.check(&preferred).unwrap(), via_view);
+        assert_eq!(fresh.check(&preferred), via_view);
     }
 
     #[test]
@@ -102,7 +102,7 @@ mod tests {
                 let owned = Arc::clone(&owned);
                 let j = j.clone();
                 s.spawn(move || {
-                    assert!(owned.session().check(&j).unwrap().is_optimal());
+                    assert!(owned.session().check(&j).is_optimal());
                 });
             }
         });

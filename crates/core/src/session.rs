@@ -27,9 +27,12 @@
 //! per-relation dispatch, and across candidates in
 //! [`check_batch`](CheckSession::check_batch).
 //!
-//! **Bounded checking.** [`check_bounded`](CheckSession::check_bounded)
-//! and [`check_batch_bounded`](CheckSession::check_batch_bounded) run
-//! the same dispatch under an [`rpr_engine::Budget`]: work units are
+//! **Bounded checking.** Every check runs under an
+//! [`rpr_engine::Budget`]: [`check_bounded`](CheckSession::check_bounded)
+//! and [`check_batch_bounded`](CheckSession::check_batch_bounded) take
+//! the caller's, and [`check`](CheckSession::check) /
+//! [`check_batch`](CheckSession::check_batch) are the same dispatch
+//! under [`Budget::unlimited`](rpr_engine::Budget::unlimited). Work units are
 //! charged per candidate, per relation, and per exact-search node; the
 //! deadline and [`CancelToken`](rpr_engine::CancelToken) are observed
 //! between candidates and inside the exponential fall-back; and each
@@ -50,12 +53,11 @@
 //! The bounded paths share the implementation, so surviving candidates
 //! of a degraded batch are bit-identical to an unbounded run too.
 
-use crate::checker::DEFAULT_EXACT_BUDGET;
 use crate::global_1fd::{check_global_1fd_with_blocks, eval_1fd_groups, FdBlocks};
 use crate::global_2keys::check_global_2keys;
 use crate::global_ccp_const::check_global_ccp_const;
 use crate::global_ccp_pk::check_global_ccp_pk;
-use crate::improvement::{BudgetExceeded, CheckOutcome, Improvement};
+use crate::improvement::{CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use crate::shard_store::{SessionIndex, ShardData, ShardStore};
 use rpr_classify::{
@@ -84,10 +86,10 @@ fn run_isolated<T>(task: impl FnOnce() -> T) -> TaskResult<T> {
     catch_unwind(AssertUnwindSafe(task))
 }
 
-/// Unwraps fan-out results for the legacy (unbounded) entry points:
-/// every sibling has already finished, so resuming the first captured
-/// panic preserves the historical `check`/`check_batch` behaviour
-/// without ever aborting a scope join.
+/// Unwraps fan-out results for the unbounded entry points: every
+/// sibling has already finished, so resuming the first captured panic
+/// preserves the historical `check`/`check_batch` behaviour without
+/// ever aborting a scope join.
 fn rethrow<T>(results: Vec<TaskResult<T>>) -> Vec<T> {
     results
         .into_iter()
@@ -98,17 +100,10 @@ fn rethrow<T>(results: Vec<TaskResult<T>>) -> Vec<T> {
         .collect()
 }
 
-/// How the exponential fall-back is bounded on this code path.
-#[derive(Clone, Copy)]
-enum ExactCtl<'b> {
-    /// Legacy semantics: each hard relation's exact search gets a fresh
-    /// private allowance of this many steps (what the step-budget API
-    /// always did).
-    Legacy(usize),
-    /// One shared engine budget meters the whole computation: work,
-    /// deadline, and cancellation are global across relations, batch
-    /// candidates, and workers.
-    Engine(&'b Budget),
+/// Unwraps a check run under [`Budget::unlimited`], whose allowance,
+/// deadline and private cancel token can never stop it.
+fn unlimited<T>(r: Result<T, Stop>) -> T {
+    r.unwrap_or_else(|stop| unreachable!("an unlimited budget stopped: {stop}"))
 }
 
 /// The cached dispatch plan: which dichotomy the session runs under.
@@ -390,7 +385,6 @@ pub struct CheckSession<'a> {
     pi: &'a PrioritizedInstance,
     art: ArtRef<'a>,
     jobs: usize,
-    exact_budget: usize,
 }
 
 impl<'a> CheckSession<'a> {
@@ -420,7 +414,7 @@ impl<'a> CheckSession<'a> {
         pi: &'a PrioritizedInstance,
         art: ArtRef<'a>,
     ) -> Self {
-        CheckSession { schema, pi, art, jobs: default_jobs(), exact_budget: DEFAULT_EXACT_BUDGET }
+        CheckSession { schema, pi, art, jobs: default_jobs() }
     }
 
     /// Builds a classical session from a precomputed classification
@@ -460,12 +454,6 @@ impl<'a> CheckSession<'a> {
     /// execution.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = if jobs == 0 { default_jobs() } else { jobs };
-        self
-    }
-
-    /// Overrides the step budget of the exponential fall-back.
-    pub fn with_exact_budget(mut self, budget: usize) -> Self {
-        self.exact_budget = budget;
         self
     }
 
@@ -515,22 +503,21 @@ impl<'a> CheckSession<'a> {
     }
 
     /// Checks whether `j` is a globally-optimal repair, with the
-    /// session's cached invariants and parallel fan-out.
-    ///
-    /// # Errors
-    /// [`BudgetExceeded`] only when a hard schema's exact search blows
-    /// its budget; tractable schemas never fail.
-    pub fn check(&self, j: &FactSet) -> Result<CheckOutcome, BudgetExceeded> {
-        self.check_with_jobs(j, self.jobs)
+    /// session's cached invariants and parallel fan-out: the
+    /// [`check_bounded`](CheckSession::check_bounded) path under
+    /// [`Budget::unlimited`]. Panics propagate to the caller.
+    pub fn check(&self, j: &FactSet) -> CheckOutcome {
+        unlimited(self.check_stop(j, self.jobs, &Budget::unlimited()))
     }
 
     /// Checks a batch of candidates, fanning out across them. Results
     /// are in input order and identical to calling
     /// [`check`](CheckSession::check) per candidate.
-    pub fn check_batch(&self, js: &[FactSet]) -> Vec<Result<CheckOutcome, BudgetExceeded>> {
+    pub fn check_batch(&self, js: &[FactSet]) -> Vec<CheckOutcome> {
+        let budget = Budget::unlimited();
         // Inner checks stay sequential: the candidates themselves are
         // the parallel unit.
-        rethrow(self.fan_out(js.len(), |i| self.check_with_jobs(&js[i], 1)))
+        rethrow(self.fan_out(js.len(), |i| unlimited(self.check_stop(&js[i], 1, &budget))))
     }
 
     /// [`check`](CheckSession::check) under a caller-supplied
@@ -585,37 +572,18 @@ impl<'a> CheckSession<'a> {
             .collect()
     }
 
-    fn check_with_jobs(&self, j: &FactSet, jobs: usize) -> Result<CheckOutcome, BudgetExceeded> {
-        self.check_dispatch(j, jobs, ExactCtl::Legacy(self.exact_budget)).map_err(|stop| match stop
-        {
-            Stop::Exceeded(_) => BudgetExceeded { budget: self.exact_budget },
-            Stop::Cancelled => unreachable!("legacy checks carry no cancellation token"),
-        })
-    }
-
-    /// Engine-budgeted check: one work unit per candidate plus the
-    /// per-relation and exact-search charges below.
+    /// The single dispatch implementation behind every entry point:
+    /// one work unit per candidate, plus the per-relation and
+    /// exact-search charges below.
     fn check_stop(&self, j: &FactSet, jobs: usize, budget: &Budget) -> Result<CheckOutcome, Stop> {
         budget.step()?;
-        self.check_dispatch(j, jobs, ExactCtl::Engine(budget))
-    }
-
-    /// The single dispatch implementation behind both the legacy and
-    /// the bounded entry points; `exact` decides how the exponential
-    /// fall-back is metered.
-    fn check_dispatch(
-        &self,
-        j: &FactSet,
-        jobs: usize,
-        exact: ExactCtl<'_>,
-    ) -> Result<CheckOutcome, Stop> {
         // Global consistency first (gives the cheapest witnesses).
         if let Some((f, g)) = self.consistency_witness(j, jobs) {
             return Ok(CheckOutcome::Inconsistent(f, g));
         }
         match &self.art.plan {
-            Plan::Classical(class) => self.check_classical(class, j, jobs, exact),
-            Plan::Ccp(class) => self.check_ccp(class, j, jobs, exact),
+            Plan::Classical(class) => self.check_classical(class, j, jobs, budget),
+            Plan::Ccp(class) => self.check_ccp(class, j, jobs, budget),
         }
     }
 
@@ -649,7 +617,7 @@ impl<'a> CheckSession<'a> {
         class: &SchemaClass,
         j: &FactSet,
         jobs: usize,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let rels = class.per_relation();
         if jobs > 1 && rels.len() > 1 {
@@ -659,7 +627,7 @@ impl<'a> CheckSession<'a> {
             // returns. Each relation task runs its shards sequentially
             // — the relations themselves are the parallel unit here.
             let outcomes = rethrow(
-                self.fan_out_n(jobs, rels.len(), |i| self.check_relation(&rels[i], j, 1, exact)),
+                self.fan_out_n(jobs, rels.len(), |i| self.check_relation(&rels[i], j, 1, budget)),
             );
             for outcome in outcomes {
                 match outcome? {
@@ -672,7 +640,7 @@ impl<'a> CheckSession<'a> {
             // the jobs knob down so the relation's own shards fan out —
             // intra-candidate parallelism.
             for rc in rels {
-                let outcome = self.check_relation(rc, j, jobs, exact)?;
+                let outcome = self.check_relation(rc, j, jobs, budget)?;
                 if !outcome.is_optimal() {
                     return Ok(outcome);
                 }
@@ -686,17 +654,15 @@ impl<'a> CheckSession<'a> {
         (rel, class): &(rpr_data::RelId, RelationClass),
         j: &FactSet,
         jobs: usize,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let instance = self.pi.instance();
         let priority = self.pi.priority();
         let domain = &self.art.rel_domains[rel.index()];
         let j_rel = j.intersect(domain);
-        if let ExactCtl::Engine(budget) = exact {
-            // One unit per dispatched relation, so polynomial relations
-            // still make the work counter reflect progress.
-            budget.step()?;
-        }
+        // One unit per dispatched relation, so polynomial relations
+        // still make the work counter reflect progress.
+        budget.step()?;
         Ok(match class {
             RelationClass::SingleFd(_) => {
                 let blocks = self.art.rel_blocks[rel.index()]
@@ -711,7 +677,7 @@ impl<'a> CheckSession<'a> {
                 priority,
                 domain,
                 &j_rel,
-                exact,
+                budget,
                 jobs,
                 &self.art.components,
             )?,
@@ -723,13 +689,11 @@ impl<'a> CheckSession<'a> {
         class: &CcpClass,
         j: &FactSet,
         jobs: usize,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let instance = self.pi.instance();
         let priority = self.pi.priority();
-        if let ExactCtl::Engine(budget) = exact {
-            budget.step()?;
-        }
+        budget.step()?;
         Ok(match class {
             CcpClass::PrimaryKeyAssignment(_) => check_global_ccp_pk(&self.art.cg, priority, j),
             CcpClass::ConstantAttributeAssignment(consts) => {
@@ -746,7 +710,7 @@ impl<'a> CheckSession<'a> {
                     .ccp_union
                     .as_ref()
                     .expect("union layout cached for every ccp Hard plan");
-                self.check_exact_sharded(priority, &instance.full_set(), j, exact, jobs, layout)?
+                self.check_exact_sharded(priority, &instance.full_set(), j, budget, jobs, layout)?
             }
         })
     }
@@ -799,7 +763,7 @@ impl<'a> CheckSession<'a> {
     }
 
     /// The exponential fall-back, decomposed over `layout`'s nontrivial
-    /// components and metered per `exact`.
+    /// components and metered by `budget`.
     ///
     /// Soundness: after the whole-domain consistency and Pareto
     /// pre-checks pass, any global improvement exchanges facts inside a
@@ -809,23 +773,20 @@ impl<'a> CheckSession<'a> {
     /// `2^(domain size)` — and a component-local hit is returned as the
     /// global witness.
     ///
-    /// Legacy metering arms a fresh private allowance per *shard*
-    /// (mirroring the historical per-relation semantics one level
-    /// down), which keeps `Exceeded` deterministic at every `jobs`
-    /// setting; engine metering charges the one shared budget, so the
-    /// exact trip point under parallelism is as scheduling-dependent as
-    /// it already was across relations and batch candidates.
+    /// Every shard charges the one shared budget, so the exact trip
+    /// point under parallelism is as scheduling-dependent as it is
+    /// across relations and batch candidates.
     fn check_exact_sharded(
         &self,
         priority: &PriorityRelation,
         domain: &FactSet,
         j_rel: &FactSet,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
         jobs: usize,
         layout: &ComponentLayout,
     ) -> Result<CheckOutcome, Stop> {
         // Whole-domain pre-checks, bit-identical to the one-shot
-        // `check_global_exact` witnesses.
+        // `check_global_exact_bounded` witnesses.
         for f in j_rel.iter() {
             if let Some(g) = self.art.cg.conflicts_in(f, j_rel).first() {
                 return Ok(CheckOutcome::Inconsistent(f, g));
@@ -853,11 +814,7 @@ impl<'a> CheckSession<'a> {
             let shard = self.art.exact_shards[c]
                 .as_ref()
                 .expect("shard attached for every nontrivial exact component");
-            let members = layout.component(c);
-            match exact {
-                ExactCtl::Legacy(steps) => shard.check_legacy(members, j_rel, steps),
-                ExactCtl::Engine(budget) => shard.check_engine(members, j_rel, budget),
-            }
+            shard.check(layout.component(c), j_rel, budget)
         };
         if jobs > 1 && shards.len() > 1 {
             // All shards run concurrently; scanning the results in
@@ -1045,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_batch_matches_legacy_under_an_unlimited_budget() {
+    fn bounded_batch_matches_unbounded_under_an_unlimited_budget() {
         let (schema, i, p) = running();
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
@@ -1053,9 +1010,9 @@ mod tests {
         let js = candidates(&i, &cg);
         let budget = Budget::unlimited();
         let bounded = session.check_batch_bounded(&js, &budget);
-        let legacy = session.check_batch(&js);
-        for ((b, l), j) in bounded.into_iter().zip(legacy).zip(&js) {
-            assert_eq!(b.expect_done("unlimited budget"), l.unwrap(), "on {j:?}");
+        let unbounded = session.check_batch(&js);
+        for ((b, u), j) in bounded.into_iter().zip(unbounded).zip(&js) {
+            assert_eq!(b.expect_done("unlimited budget"), u, "on {j:?}");
         }
         // The batch charged work: at least one unit per candidate.
         assert!(budget.work_done() >= js.len() as u64);

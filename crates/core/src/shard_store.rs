@@ -32,21 +32,13 @@
 //! [`crate::exact::exhaustive_improvement`] *exactly*: same branch
 //! order (include first, exclude only for facts with conflicts), one
 //! budget step per recursion node, same maximality and
-//! global-improvement leaf tests. The verdict memo is consulted only
-//! when replaying the recorded search could not possibly trip the
-//! caller's budget:
-//!
-//! - legacy step budgets use a memo entry only when the recorded node
-//!   count fits the allowance (`steps_recorded <= steps_allowed`);
-//! - engine budgets bulk-charge the recorded node count via
-//!   [`Budget::try_charge`], which rolls back and reports `false`
-//!   when the charge would trip — the caller then falls back to the
-//!   real search, which re-charges step-by-step and trips exactly
-//!   where a cold session would.
-//!
-//! Either way a memo hit charges the same total work and returns the
-//! same verdict and witness as a cold run, so store-backed sessions
-//! are bit-identical to private-shard builds.
+//! global-improvement leaf tests. A memo hit bulk-charges the recorded
+//! node count via [`Budget::try_charge`], which rolls back and reports
+//! `false` when the charge would trip; the caller then falls back to
+//! the real search, which re-charges step-by-step and trips exactly
+//! where a cold session would. A memo hit therefore charges the same
+//! total work and returns the same verdict and witness as a cold run,
+//! so store-backed sessions are bit-identical to private-shard builds.
 
 use crate::improvement::Improvement;
 use rpr_data::{FactId, FactSet, Fingerprint, FxHashMap};
@@ -297,39 +289,8 @@ impl ShardData {
         }
     }
 
-    /// Checks a candidate against this shard under a legacy step
-    /// budget, exactly as a fresh
-    /// `Budget::unlimited().with_max_work(steps)` search would.
-    ///
-    /// A memo entry is used only when its recorded node count fits the
-    /// allowance; otherwise the search re-runs and trips identically.
-    ///
-    /// # Errors
-    /// [`Stop::Exceeded`] when the search exceeds `steps` nodes.
-    pub fn check_legacy(
-        &self,
-        members: &[FactId],
-        j: &FactSet,
-        steps: usize,
-    ) -> Result<Option<Improvement>, Stop> {
-        let local_j = self.localize(members, j);
-        if let Some(entry) = self.memo.lock().unwrap().get(&local_j) {
-            if entry.steps <= steps as u64 {
-                return Ok(entry
-                    .found
-                    .as_ref()
-                    .map(|imp| self.globalize(members, j.universe(), imp)));
-            }
-        }
-        let budget = Budget::unlimited().with_max_work(steps as u64);
-        let (found, nodes) = self.search_local(&local_j, &budget)?;
-        let out = found.as_ref().map(|imp| self.globalize(members, j.universe(), imp));
-        self.memoize(local_j, found, nodes);
-        Ok(out)
-    }
-
     /// Checks a candidate against this shard under a caller-supplied
-    /// engine [`Budget`].
+    /// [`Budget`].
     ///
     /// A memo hit bulk-charges the recorded node count via
     /// [`Budget::try_charge`]; when the charge would trip, the charge
@@ -338,7 +299,7 @@ impl ShardData {
     ///
     /// # Errors
     /// Propagates the budget's [`Stop`] (work, deadline, cancel).
-    pub fn check_engine(
+    pub fn check(
         &self,
         members: &[FactId],
         j: &FactSet,

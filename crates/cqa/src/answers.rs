@@ -6,12 +6,12 @@
 //! `⋃ {q(J) : …}` — the preferred generalization of Arenas-Bertossi-
 //! Chomicki consistent answers that the paper's concluding remarks pose
 //! as the next classification problem. Repairs are enumerated by the
-//! oracles in `rpr-core` under an explicit budget.
+//! oracles in `rpr-core` under an engine [`Budget`].
 
 use crate::query::ConjunctiveQuery;
 use rpr_core::{
-    enumerate_repairs, enumerate_repairs_bounded, is_completion_optimal, is_global_improvement,
-    is_pareto_improvement, Budget, BudgetExceeded, CheckSession, Outcome,
+    enumerate_repairs_bounded, is_completion_optimal, is_global_improvement, is_pareto_improvement,
+    Budget, CheckSession, Outcome,
 };
 use rpr_data::{FactSet, Instance, Tuple};
 use rpr_fd::{ConflictGraph, Schema};
@@ -72,42 +72,9 @@ impl std::str::FromStr for RepairSemantics {
     }
 }
 
-/// Enumerates the repairs of the chosen semantics.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn repairs_under(
-    semantics: RepairSemantics,
-    cg: &ConflictGraph,
-    priority: &PriorityRelation,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    let all = enumerate_repairs(cg, budget)?;
-    Ok(match semantics {
-        RepairSemantics::All => all,
-        RepairSemantics::Pareto => {
-            // J is Pareto-optimal iff no repair Pareto-improves it
-            // (improvements extend to repairs; see rpr-core::brute).
-            all.iter()
-                .filter(|j| !all.iter().any(|r| is_pareto_improvement(priority, j, r)))
-                .cloned()
-                .collect()
-        }
-        RepairSemantics::Global => all
-            .iter()
-            .filter(|j| !all.iter().any(|r| is_global_improvement(priority, j, r)))
-            .cloned()
-            .collect(),
-        RepairSemantics::Completion => {
-            all.into_iter().filter(|j| is_completion_optimal(cg, priority, j)).collect()
-        }
-    })
-}
-
 /// Enumerates the repairs of the chosen semantics under an engine
 /// [`Budget`] (deadline, shared work allowance, cooperative
-/// cancellation). Agrees with [`repairs_under`] when the budget does not
-/// trip.
+/// cancellation).
 ///
 /// Partial-result semantics on degradation:
 ///
@@ -185,10 +152,12 @@ fn filter_bounded(
 }
 
 /// Enumerates the repairs of the chosen semantics against an amortized
-/// [`CheckSession`] under an engine [`Budget`]. The globally-optimal
-/// semantics routes through the session's bounded dispatched checker
-/// (its partial is a sound confirmed-optimal subset); the others share
-/// the plain bounded path of [`repairs_under_bounded`].
+/// [`CheckSession`] under an engine [`Budget`] — no per-call
+/// conflict-graph construction. The globally-optimal semantics routes
+/// through the session's bounded dispatched (polynomial where possible,
+/// parallel) checker instead of the pairwise oracle scan (its partial is
+/// a sound confirmed-optimal subset); the others share the plain
+/// bounded path of [`repairs_under_bounded`].
 pub fn repairs_under_session_bounded(
     semantics: RepairSemantics,
     session: &CheckSession<'_>,
@@ -198,28 +167,6 @@ pub fn repairs_under_session_bounded(
         return rpr_core::globally_optimal_repairs_session_bounded(session, budget);
     }
     repairs_under_bounded(semantics, session.conflict_graph(), session.priority(), budget)
-}
-
-/// Enumerates the repairs of the chosen semantics against an amortized
-/// [`CheckSession`] — no per-call conflict-graph construction, and the
-/// globally-optimal filter runs through the session's dispatched
-/// (polynomial where possible, parallel) checker instead of the
-/// pairwise oracle scan.
-///
-/// Agrees with [`repairs_under`] on the session's conflict graph.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration (or, on hard schemas, an
-/// exact check) exceeds its budget.
-pub fn repairs_under_session(
-    semantics: RepairSemantics,
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    if semantics == RepairSemantics::Global {
-        return rpr_core::globally_optimal_repairs_session(session, budget);
-    }
-    repairs_under(semantics, session.conflict_graph(), session.priority(), budget)
 }
 
 /// The result of a preferred-CQA computation.
@@ -234,43 +181,7 @@ pub struct CqaAnswers {
 }
 
 /// Computes certain and possible answers of `query` on `(instance, ≻)`
-/// under the chosen repair semantics.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn answers(
-    schema: &Schema,
-    instance: &Instance,
-    priority: &PriorityRelation,
-    query: &ConjunctiveQuery,
-    semantics: RepairSemantics,
-    budget: usize,
-) -> Result<CqaAnswers, BudgetExceeded> {
-    let cg = ConflictGraph::new(schema, instance);
-    let repairs = repairs_under(semantics, &cg, priority, budget)?;
-    Ok(quantify(instance, query, &repairs))
-}
-
-/// Computes certain and possible answers of `query` against an
-/// amortized [`CheckSession`]. Answer/count loops over many queries
-/// should build one session and call this per query: the conflict
-/// graph, classification, and partitions are shared across all of
-/// them.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration (or a hard-side exact
-/// check) exceeds its budget.
-pub fn answers_session(
-    session: &CheckSession<'_>,
-    query: &ConjunctiveQuery,
-    semantics: RepairSemantics,
-    budget: usize,
-) -> Result<CqaAnswers, BudgetExceeded> {
-    let repairs = repairs_under_session(semantics, session, budget)?;
-    Ok(quantify(session.instance(), query, &repairs))
-}
-
-/// Computes certain and possible answers under an engine [`Budget`].
+/// under the chosen repair semantics and an engine [`Budget`].
 ///
 /// On degradation the partial answers quantify over the partial repair
 /// set: `certain` is then an *upper bound* (more repairs can only
@@ -291,8 +202,10 @@ pub fn answers_bounded(
 }
 
 /// Computes certain and possible answers against an amortized
-/// [`CheckSession`] under an engine [`Budget`]. Same partial-answer
-/// bounds as [`answers_bounded`].
+/// [`CheckSession`] under an engine [`Budget`]. Answer/count loops over
+/// many queries should build one session and call this per query: the
+/// conflict graph, classification, and partitions are shared across
+/// all of them. Same partial-answer bounds as [`answers_bounded`].
 pub fn answers_session_bounded(
     session: &CheckSession<'_>,
     query: &ConjunctiveQuery,
@@ -322,7 +235,22 @@ fn quantify(instance: &Instance, query: &ConjunctiveQuery, repairs: &[FactSet]) 
 mod tests {
     use super::*;
     use crate::query::atom;
+    use rpr_core::{enumerate_repairs, globally_optimal_repairs, is_pareto_optimal};
     use rpr_data::{FactId, Signature, Value};
+
+    fn under(sem: RepairSemantics, cg: &ConflictGraph, p: &PriorityRelation) -> Vec<FactSet> {
+        repairs_under_bounded(sem, cg, p, &Budget::unlimited()).expect_done("unlimited budget")
+    }
+
+    fn answers(
+        schema: &Schema,
+        i: &Instance,
+        p: &PriorityRelation,
+        q: &ConjunctiveQuery,
+        sem: RepairSemantics,
+    ) -> CqaAnswers {
+        answers_bounded(schema, i, p, q, sem, &Budget::unlimited()).expect_done("unlimited budget")
+    }
 
     /// R(name, group) with key "group" (R: 2→1 and 2→… wait we want
     /// one winner per group: use R: 1→2 over (group, member)).
@@ -343,10 +271,10 @@ mod tests {
     fn semantics_shrink_the_repair_set() {
         let (schema, i, p) = setup();
         let cg = ConflictGraph::new(&schema, &i);
-        let all = repairs_under(RepairSemantics::All, &cg, &p, 1 << 20).unwrap();
-        let pareto = repairs_under(RepairSemantics::Pareto, &cg, &p, 1 << 20).unwrap();
-        let global = repairs_under(RepairSemantics::Global, &cg, &p, 1 << 20).unwrap();
-        let completion = repairs_under(RepairSemantics::Completion, &cg, &p, 1 << 20).unwrap();
+        let all = under(RepairSemantics::All, &cg, &p);
+        let pareto = under(RepairSemantics::Pareto, &cg, &p);
+        let global = under(RepairSemantics::Global, &cg, &p);
+        let completion = under(RepairSemantics::Completion, &cg, &p);
         assert_eq!(all.len(), 2);
         assert_eq!(pareto.len(), 1);
         assert_eq!(global.len(), 1);
@@ -365,12 +293,12 @@ mod tests {
         let (schema, i, p) = setup();
         // q(x) ← R(g1, x).
         let q = ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "R", &["g1", "?0"])] };
-        let all = answers(&schema, &i, &p, &q, RepairSemantics::All, 1 << 20).unwrap();
+        let all = answers(&schema, &i, &p, &q, RepairSemantics::All);
         // Under plain repairs, neither a nor b is certain.
         assert!(all.certain.is_empty());
         assert_eq!(all.possible.len(), 2);
         // Under globally-optimal repairs the preferred fact is certain.
-        let global = answers(&schema, &i, &p, &q, RepairSemantics::Global, 1 << 20).unwrap();
+        let global = answers(&schema, &i, &p, &q, RepairSemantics::Global);
         assert_eq!(global.certain.len(), 1);
         assert!(global.certain.contains(&Tuple::new([Value::sym("a")])));
         assert_eq!(global.repair_count, 1);
@@ -381,31 +309,34 @@ mod tests {
         let (schema, i, p) = setup();
         // q() ← R(g1, b): possible under All, refuted under Global.
         let q = ConjunctiveQuery::boolean(vec![atom(&i, "R", &["g1", "b"])]);
-        let all = answers(&schema, &i, &p, &q, RepairSemantics::All, 1 << 20).unwrap();
+        let all = answers(&schema, &i, &p, &q, RepairSemantics::All);
         assert!(all.certain.is_empty());
         assert!(!all.possible.is_empty());
-        let global = answers(&schema, &i, &p, &q, RepairSemantics::Global, 1 << 20).unwrap();
+        let global = answers(&schema, &i, &p, &q, RepairSemantics::Global);
         assert!(global.possible.is_empty());
     }
 
     #[test]
-    fn bounded_agrees_with_legacy_under_unlimited_budgets() {
+    fn bounded_agrees_with_the_oracles_under_unlimited_budgets() {
         let (schema, i, p) = setup();
         let cg = ConflictGraph::new(&schema, &i);
-        let budget = Budget::unlimited();
-        for sem in RepairSemantics::ALL {
-            let legacy = repairs_under(sem, &cg, &p, 1 << 20).unwrap();
-            let bounded = repairs_under_bounded(sem, &cg, &p, &budget)
-                .expect_done("unlimited budget must finish");
-            assert_eq!(bounded, legacy, "semantics {sem}");
-        }
-        let q = ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "R", &["g1", "?0"])] };
-        let legacy = answers(&schema, &i, &p, &q, RepairSemantics::Global, 1 << 20).unwrap();
-        let bounded = answers_bounded(&schema, &i, &p, &q, RepairSemantics::Global, &budget)
-            .expect_done("unlimited budget must finish");
-        assert_eq!(bounded.certain, legacy.certain);
-        assert_eq!(bounded.possible, legacy.possible);
-        assert_eq!(bounded.repair_count, legacy.repair_count);
+        let repairs = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let keep = |f: &dyn Fn(&FactSet) -> bool| -> Vec<FactSet> {
+            repairs.iter().filter(|j| f(j)).cloned().collect()
+        };
+        assert_eq!(under(RepairSemantics::All, &cg, &p), repairs);
+        assert_eq!(
+            under(RepairSemantics::Pareto, &cg, &p),
+            keep(&|j| is_pareto_optimal(&cg, &p, j))
+        );
+        assert_eq!(
+            under(RepairSemantics::Global, &cg, &p),
+            globally_optimal_repairs(&cg, &p, 1 << 20).unwrap()
+        );
+        assert_eq!(
+            under(RepairSemantics::Completion, &cg, &p),
+            keep(&|j| is_completion_optimal(&cg, &p, j))
+        );
     }
 
     #[test]
@@ -436,7 +367,7 @@ mod tests {
         let budget = Budget::unlimited().with_max_work(2);
         match repairs_under_bounded(RepairSemantics::All, &cg, &p, &budget) {
             Outcome::Exceeded { partial: Some(prefix), .. } => {
-                let full = repairs_under(RepairSemantics::All, &cg, &p, 1 << 20).unwrap();
+                let full = enumerate_repairs(&cg, 1 << 20).unwrap();
                 assert!(prefix.len() < full.len());
                 for j in &prefix {
                     assert!(full.contains(j), "partial members must be true repairs");
@@ -469,7 +400,7 @@ mod tests {
         let i = Instance::new(schema.signature().clone());
         let p = PriorityRelation::empty(0);
         let q = ConjunctiveQuery::boolean(vec![atom(&i, "R", &["g1", "?0"])]);
-        let res = answers(&schema, &i, &p, &q, RepairSemantics::All, 1024).unwrap();
+        let res = answers(&schema, &i, &p, &q, RepairSemantics::All);
         assert_eq!(res.repair_count, 1); // the empty repair
         assert!(res.certain.is_empty());
         assert!(res.possible.is_empty());

@@ -5,10 +5,10 @@
 //! characterizing when exactly one exists — "the existence of precisely
 //! one repair implies that the constraints and priorities define an
 //! unambiguous cleaning of inconsistencies". These helpers answer both
-//! questions by enumeration (with budgets), which is the best known
-//! general tool.
+//! questions by enumeration (under an engine [`Budget`]), which is the
+//! best known general tool.
 
-use rpr_core::{globally_optimal_repairs, Budget, BudgetExceeded, CheckSession, Outcome};
+use rpr_core::{Budget, CheckSession, Outcome};
 use rpr_data::FactSet;
 use rpr_fd::ConflictGraph;
 use rpr_priority::PriorityRelation;
@@ -21,36 +21,8 @@ pub struct RepairSpace {
 }
 
 impl RepairSpace {
-    /// Computes the space by enumeration.
-    ///
-    /// # Errors
-    /// [`BudgetExceeded`] if enumeration exceeds the budget.
-    pub fn compute(
-        cg: &ConflictGraph,
-        priority: &PriorityRelation,
-        budget: usize,
-    ) -> Result<Self, BudgetExceeded> {
-        Ok(RepairSpace { optimal: globally_optimal_repairs(cg, priority, budget)? })
-    }
-
-    /// Computes the space against an amortized [`CheckSession`]: the
-    /// session's cached conflict graph drives the enumeration, and
-    /// optimality is decided by its dispatched (parallel) checker
-    /// rather than the pairwise oracle. Agrees with
-    /// [`RepairSpace::compute`].
-    ///
-    /// # Errors
-    /// [`BudgetExceeded`] if enumeration or a hard-side exact check
-    /// exceeds its budget.
-    pub fn compute_session(
-        session: &CheckSession<'_>,
-        budget: usize,
-    ) -> Result<Self, BudgetExceeded> {
-        Ok(RepairSpace { optimal: rpr_core::globally_optimal_repairs_session(session, budget)? })
-    }
-
-    /// Computes the space under an engine [`Budget`] (deadline, shared
-    /// work allowance, cooperative cancellation).
+    /// Computes the space by enumeration under an engine [`Budget`]
+    /// (deadline, shared work allowance, cooperative cancellation).
     ///
     /// On degradation the partial space holds the repairs confirmed
     /// optimal so far — see
@@ -66,9 +38,12 @@ impl RepairSpace {
     }
 
     /// Computes the space against an amortized [`CheckSession`] under an
-    /// engine [`Budget`]. The session variant confirms candidates one by
-    /// one against the whole instance, so on degradation the partial
-    /// space is a sound subset of the optimal repairs.
+    /// engine [`Budget`]: the session's cached conflict graph drives the
+    /// enumeration, and optimality is decided by its dispatched
+    /// (parallel) checker rather than the pairwise oracle. The session
+    /// variant confirms candidates one by one against the whole
+    /// instance, so on degradation the partial space is a sound subset
+    /// of the optimal repairs.
     pub fn compute_session_bounded(session: &CheckSession<'_>, budget: &Budget) -> Outcome<Self> {
         rpr_core::globally_optimal_repairs_session_bounded(session, budget)
             .map(|optimal| RepairSpace { optimal })
@@ -92,8 +67,13 @@ impl RepairSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpr_core::globally_optimal_repairs;
     use rpr_data::{FactId, Instance, Signature, Value};
     use rpr_fd::Schema;
+
+    fn compute(cg: &ConflictGraph, p: &PriorityRelation) -> RepairSpace {
+        RepairSpace::compute_bounded(cg, p, &Budget::unlimited()).expect_done("unlimited budget")
+    }
 
     fn setup(edges: &[(u32, u32)]) -> (ConflictGraph, PriorityRelation) {
         let sig = Signature::new([("R", 2)]).unwrap();
@@ -111,7 +91,7 @@ mod tests {
     #[test]
     fn total_priority_gives_unambiguous_cleaning() {
         let (cg, p) = setup(&[(0, 1), (1, 2), (0, 2)]);
-        let space = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
+        let space = compute(&cg, &p);
         assert_eq!(space.count(), 1);
         let unique = space.unique().unwrap();
         assert!(unique.contains(FactId(0)));
@@ -120,7 +100,7 @@ mod tests {
     #[test]
     fn empty_priority_keeps_all_repairs_optimal() {
         let (cg, p) = setup(&[]);
-        let space = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
+        let space = compute(&cg, &p);
         assert_eq!(space.count(), 3);
         assert!(space.unique().is_none());
     }
@@ -128,19 +108,16 @@ mod tests {
     #[test]
     fn partial_priority_in_between() {
         let (cg, p) = setup(&[(0, 1)]);
-        let space = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
+        let space = compute(&cg, &p);
         assert_eq!(space.count(), 2); // {a} and {c}; {b} is improved by {a}
         assert!(space.unique().is_none());
     }
 
     #[test]
-    fn bounded_space_agrees_with_legacy_under_unlimited_budgets() {
+    fn bounded_space_agrees_with_the_oracle_under_unlimited_budgets() {
         let (cg, p) = setup(&[(0, 1)]);
-        let legacy = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
-        let budget = Budget::unlimited();
-        let bounded = RepairSpace::compute_bounded(&cg, &p, &budget)
-            .expect_done("unlimited budget must finish");
-        assert_eq!(bounded, legacy);
+        let oracle = globally_optimal_repairs(&cg, &p, 1 << 20).unwrap();
+        assert_eq!(compute(&cg, &p).optimal, oracle);
     }
 
     #[test]

@@ -19,13 +19,12 @@ pub mod query;
 pub mod ucq;
 
 pub use answers::{
-    answers, answers_bounded, answers_session, answers_session_bounded, repairs_under,
-    repairs_under_bounded, repairs_under_session, repairs_under_session_bounded, CqaAnswers,
-    RepairSemantics,
+    answers_bounded, answers_session_bounded, repairs_under_bounded, repairs_under_session_bounded,
+    CqaAnswers, RepairSemantics,
 };
 pub use count::RepairSpace;
 pub use homomorphism::{
     are_equivalent, find_homomorphism, is_contained_in, minimize, Homomorphism,
 };
 pub use query::{atom, Atom, ConjunctiveQuery, Term};
-pub use ucq::{ucq_answers, ucq_answers_bounded, UnionQuery};
+pub use ucq::{ucq_answers_bounded, UnionQuery};

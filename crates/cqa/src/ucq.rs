@@ -9,10 +9,10 @@
 //! containment test (`⋃ᵢ qᵢ ⊑ ⋃ⱼ q′ⱼ` iff every `qᵢ` is contained in
 //! some `q′ⱼ`).
 
-use crate::answers::{repairs_under, repairs_under_bounded, RepairSemantics};
+use crate::answers::{repairs_under_bounded, RepairSemantics};
 use crate::homomorphism::is_contained_in;
 use crate::query::ConjunctiveQuery;
-use rpr_core::{Budget, BudgetExceeded, Outcome};
+use rpr_core::{Budget, Outcome};
 use rpr_data::{Instance, Tuple};
 use rpr_fd::{ConflictGraph, Schema};
 use rpr_priority::PriorityRelation;
@@ -101,25 +101,8 @@ impl UnionQuery {
     }
 }
 
-/// σ-certain and σ-possible answers of a UCQ over preferred repairs.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn ucq_answers(
-    schema: &Schema,
-    instance: &Instance,
-    priority: &PriorityRelation,
-    query: &UnionQuery,
-    semantics: RepairSemantics,
-    budget: usize,
-) -> Result<crate::answers::CqaAnswers, BudgetExceeded> {
-    let cg = ConflictGraph::new(schema, instance);
-    let repairs = repairs_under(semantics, &cg, priority, budget)?;
-    Ok(quantify_ucq(instance, query, &repairs))
-}
-
-/// σ-certain and σ-possible answers of a UCQ under an engine
-/// [`Budget`]. On degradation the partial answers quantify over the
+/// σ-certain and σ-possible answers of a UCQ over preferred repairs,
+/// under an engine [`Budget`]. On degradation the partial answers quantify over the
 /// partial repair set — the same upper/lower-bound reading as
 /// [`answers_bounded`](crate::answers::answers_bounded).
 pub fn ucq_answers_bounded(
@@ -161,6 +144,7 @@ fn quantify_ucq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answers::answers_bounded;
     use crate::query::atom;
     use rpr_data::{FactId, Signature, Value};
 
@@ -250,33 +234,34 @@ mod tests {
             ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "S", &["h", "?0"])] },
         ])
         .unwrap();
-        let all = ucq_answers(&schema, &i, &p, &u, RepairSemantics::All, 1 << 20).unwrap();
+        let unlimited = Budget::unlimited();
+        let all = ucq_answers_bounded(&schema, &i, &p, &u, RepairSemantics::All, &unlimited)
+            .expect_done("unlimited budget");
         // c is certain (S has no conflicts); a/b only possible.
         assert_eq!(all.certain.len(), 1);
         assert_eq!(all.possible.len(), 3);
-        let global = ucq_answers(&schema, &i, &p, &u, RepairSemantics::Global, 1 << 20).unwrap();
+        let global = ucq_answers_bounded(&schema, &i, &p, &u, RepairSemantics::Global, &unlimited)
+            .expect_done("unlimited budget");
         // Under the global semantics a becomes certain too.
         assert_eq!(global.certain.len(), 2);
     }
 
     #[test]
-    fn bounded_ucq_answers_agree_with_legacy() {
+    fn single_disjunct_ucq_answers_match_cq_answers() {
         let i = instance();
         let schema = schema(&i);
         let p = PriorityRelation::new(i.len(), [(FactId(0), FactId(1))]).unwrap();
-        let u = UnionQuery::new(vec![
-            ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "R", &["g", "?0"])] },
-            ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "S", &["h", "?0"])] },
-        ])
-        .unwrap();
+        let q = ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "R", &["g", "?0"])] };
+        let u = UnionQuery::new(vec![q.clone()]).unwrap();
         let budget = Budget::unlimited();
         for sem in RepairSemantics::ALL {
-            let legacy = ucq_answers(&schema, &i, &p, &u, sem, 1 << 20).unwrap();
-            let bounded = ucq_answers_bounded(&schema, &i, &p, &u, sem, &budget)
+            let cq = answers_bounded(&schema, &i, &p, &q, sem, &budget)
                 .expect_done("unlimited budget must finish");
-            assert_eq!(bounded.certain, legacy.certain, "semantics {sem}");
-            assert_eq!(bounded.possible, legacy.possible, "semantics {sem}");
-            assert_eq!(bounded.repair_count, legacy.repair_count, "semantics {sem}");
+            let ucq = ucq_answers_bounded(&schema, &i, &p, &u, sem, &budget)
+                .expect_done("unlimited budget must finish");
+            assert_eq!(ucq.certain, cq.certain, "semantics {sem}");
+            assert_eq!(ucq.possible, cq.possible, "semantics {sem}");
+            assert_eq!(ucq.repair_count, cq.repair_count, "semantics {sem}");
         }
         let tight = Budget::unlimited().with_max_work(1);
         match ucq_answers_bounded(&schema, &i, &p, &u, RepairSemantics::All, &tight) {

@@ -270,7 +270,7 @@ mod tests {
         // `held` was evicted but its Arc keeps the artifacts alive.
         let session = held.read();
         let j = session.prioritized().instance().full_set();
-        assert!(session.session().check(&j).unwrap().is_optimal());
+        assert!(session.session().check(&j).is_optimal());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example hardness_gadget`.
 
-use preferred_repairs::core::check_global_exact;
+use preferred_repairs::core::{check_global_exact_bounded, Budget, Outcome};
 use preferred_repairs::prelude::*;
 use preferred_repairs::reductions::{
     hamiltonian_gadget, improvement_from_cycle, map_input, CaseOneMapping, UGraph,
@@ -23,14 +23,15 @@ fn check_graph(name: &str, graph: &UGraph) {
         gadget.j.len()
     );
     let expected = graph.is_hamiltonian();
-    match check_global_exact(
+    let budget = Budget::unlimited().with_max_work(1 << 26);
+    match check_global_exact_bounded(
         &cg,
         gadget.prioritized.priority(),
         &instance.full_set(),
         &gadget.j,
-        1 << 26,
+        &budget,
     ) {
-        Ok(outcome) => {
+        Outcome::Done(outcome) => {
             let hamiltonian = !outcome.is_optimal();
             println!(
                 "  exact checker: J globally-optimal = {} ⇒ G Hamiltonian = {hamiltonian} (solver says {expected})",
@@ -38,7 +39,10 @@ fn check_graph(name: &str, graph: &UGraph) {
             );
             assert_eq!(hamiltonian, expected, "gadget must agree with the HC solver");
         }
-        Err(e) => println!("  exact checker hit its budget ({e}) — the coNP wall in person"),
+        other => println!(
+            "  exact checker stopped ({}) — the coNP wall in person",
+            other.budget_report().map_or_else(|| "no report".to_owned(), |r| r.to_string())
+        ),
     }
 }
 
@@ -77,9 +81,15 @@ fn main() {
     use preferred_repairs::reductions::FactMapping;
     let (mapped, j2) = map_input(&pi_map, &gadget.prioritized, &gadget.j);
     let dst_cg = ConflictGraph::new(pi_map.target_schema(), mapped.instance());
-    let outcome =
-        check_global_exact(&dst_cg, mapped.priority(), &mapped.instance().full_set(), &j2, 1 << 26)
-            .unwrap();
+    let budget = Budget::unlimited().with_max_work(1 << 26);
+    let outcome = check_global_exact_bounded(
+        &dst_cg,
+        mapped.priority(),
+        &mapped.instance().full_set(),
+        &j2,
+        &budget,
+    )
+    .expect_done("the mapped Figure-5 input fits the allowance");
     println!(
         "\nCase-1 Π into keys {{1,2}},{{2,3}},{{3,4}} over arity 5: mapped J globally-optimal = {} (graph Hamiltonian = {})",
         outcome.is_optimal(),

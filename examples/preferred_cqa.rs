@@ -5,7 +5,9 @@
 //!
 //! Run with `cargo run --example preferred_cqa`.
 
-use preferred_repairs::cqa::{answers, atom, ConjunctiveQuery, RepairSemantics, RepairSpace};
+use preferred_repairs::cqa::{
+    answers_bounded, atom, ConjunctiveQuery, RepairSemantics, RepairSpace,
+};
 use preferred_repairs::gen::RunningExample;
 use preferred_repairs::prelude::*;
 
@@ -31,7 +33,9 @@ fn main() {
         ("globally-optimal ", RepairSemantics::Global),
         ("completion-optimal", RepairSemantics::Completion),
     ] {
-        let res = answers(&ex.schema, instance, &ex.priority, &q, sem, 1 << 22).unwrap();
+        let budget = Budget::unlimited().with_max_work(1 << 22);
+        let res = answers_bounded(&ex.schema, instance, &ex.priority, &q, sem, &budget)
+            .expect_done("the running example fits the allowance");
         let fmt = |s: &std::collections::BTreeSet<Tuple>| {
             let mut items: Vec<String> = s.iter().map(|t| t.to_string()).collect();
             items.sort();
@@ -47,7 +51,9 @@ fn main() {
 
     // Counting and uniqueness (the concluding-remarks questions).
     let cg = ConflictGraph::new(&ex.schema, instance);
-    let space = RepairSpace::compute(&cg, &ex.priority, 1 << 22).unwrap();
+    let budget = Budget::unlimited().with_max_work(1 << 22);
+    let space = RepairSpace::compute_bounded(&cg, &ex.priority, &budget)
+        .expect_done("the running example fits the allowance");
     println!("\nglobally-optimal repairs: {}", space.count());
     match space.unique() {
         Some(j) => println!("unambiguous cleaning: {}", instance.render_set(j)),

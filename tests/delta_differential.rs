@@ -152,21 +152,19 @@ fn assert_matches_cold(rng: &mut StdRng, ds: &DeltaSession, ws: &Workspace, cont
         let via_patched = patched.check(&j);
         let via_cold = cold.check(&j);
         assert_eq!(via_patched, via_cold, "{context}: verdict diverged on candidate {i}");
-        if let Ok(outcome) = via_patched {
-            let cert_patched = render_certificate(
-                ds.schema(),
-                ds.prioritized().instance(),
-                ds.prioritized().priority(),
-                &patched.certify(&j, &outcome),
-            );
-            let cert_cold = render_certificate(
-                &ws.schema,
-                &ws.instance,
-                &ws.priority,
-                &cold.certify(&j, &outcome),
-            );
-            assert_eq!(cert_patched, cert_cold, "{context}: certificate diverged on candidate {i}");
-        }
+        let cert_patched = render_certificate(
+            ds.schema(),
+            ds.prioritized().instance(),
+            ds.prioritized().priority(),
+            &patched.certify(&j, &via_patched),
+        );
+        let cert_cold = render_certificate(
+            &ws.schema,
+            &ws.instance,
+            &ws.priority,
+            &cold.certify(&j, &via_patched),
+        );
+        assert_eq!(cert_patched, cert_cold, "{context}: certificate diverged on candidate {i}");
     }
 }
 

@@ -35,7 +35,7 @@ fn single_fd_checker_vs_oracle_randomized() {
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .unwrap();
         for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
-            let fast = checker.check(&pi, &j).unwrap().is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
             checked += 1;
@@ -59,7 +59,7 @@ fn two_keys_checker_vs_oracle_randomized() {
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .unwrap();
         for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
-            let fast = checker.check(&pi, &j).unwrap().is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
             checked += 1;
@@ -83,7 +83,7 @@ fn generalized_two_keys_with_overlap_vs_oracle() {
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .unwrap();
         for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
-            let fast = checker.check(&pi, &j).unwrap().is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
         }

@@ -46,7 +46,7 @@ fn policy_cleaning_pipeline() {
         PrioritizedInstance::conflict_restricted(&feed.schema, feed.instance.clone(), priority)
             .unwrap();
     let checker = GRepairChecker::new(feed.schema.clone());
-    assert!(checker.check(&pi, &cleaned).unwrap().is_optimal());
+    assert!(checker.check(&pi, &cleaned).is_optimal());
 
     // Accuracy beats a coin-flip cleaning by a wide margin.
     let acc = feed.accuracy(&cleaned);

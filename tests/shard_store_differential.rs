@@ -68,12 +68,12 @@ fn session_pair(
 
 /// Renders one candidate's certificate exactly as the serving layer
 /// does, so certificate comparison is byte-level.
-fn certificate_text(ds: &DeltaSession, jobs: usize, j: &FactSet) -> Option<String> {
+fn certificate_text(ds: &DeltaSession, jobs: usize, j: &FactSet) -> String {
     let session = ds.session().with_jobs(jobs);
-    let outcome = session.check(j).ok()?;
+    let outcome = session.check(j);
     let cert = session.certify(j, &outcome);
     let pi = ds.prioritized();
-    Some(rpr_format::render_certificate(ds.schema(), pi.instance(), pi.priority(), &cert))
+    rpr_format::render_certificate(ds.schema(), pi.instance(), pi.priority(), &cert)
 }
 
 #[test]
@@ -185,37 +185,51 @@ fn store_backed_delta_chain_matches_cold_private_rebuild() {
     assert!(store.len() >= ds.shard_count());
 }
 
-/// The legacy per-shard step budget must trip identically whether the
-/// shard search runs fresh, through the store, or through a store
-/// entry whose memo was warmed by a *larger* allowance (the memo
-/// cannot-trip rule: a cached result is only served when replaying the
-/// search could not have tripped the caller's budget).
+/// A memo hit may not leak past a smaller budget. Shard memos warmed by
+/// an unlimited check are bulk-charged through `Budget::try_charge`;
+/// when that charge would trip, it rolls back and the real search runs,
+/// so a tight engine allowance still trips — and at `jobs = 1` charges
+/// exactly the work a cold private session charges. An unlimited check
+/// charges the same work warm as cold.
 #[test]
-fn legacy_budget_trips_identically_through_warmed_store_memos() {
+fn engine_budget_trips_identically_through_warmed_store_memos() {
     let (schema, pi, evens) = chain_pi(6, 12);
     let store = Arc::new(ShardStore::new());
-    let (private, stored) = session_pair(&schema, &pi, &store);
-    let tight = private.session().with_exact_budget(5).check(&evens);
-    assert!(tight.is_err(), "5 steps per shard must trip");
+    let (_, stored) = session_pair(&schema, &pi, &store);
+    let cold = || DeltaSession::prepare(Arc::new(schema.clone()), pi.clone());
+    let tight = || Budget::unlimited().with_max_work(5);
+
+    // Cold references from private sessions that were never warmed.
+    let cold_full = Budget::unlimited();
+    let verdict = cold().session().with_jobs(1).check_bounded(&evens, &cold_full);
+    assert_eq!(verdict.expect_done("unlimited budget"), CheckOutcome::Optimal);
+    let cold_tight = tight();
+    let tripped = cold().session().with_jobs(1).check_bounded(&evens, &cold_tight);
+    assert!(matches!(tripped, Outcome::Exceeded { .. }), "5 work units must trip");
+
+    // Warm every shard memo of the store with an unlimited check.
+    let unwarmed_bytes = store.resident_bytes();
+    assert_eq!(stored.session().check(&evens), CheckOutcome::Optimal);
+    assert!(store.resident_bytes() > unwarmed_bytes, "the unlimited check fills the memos");
+
+    // The warmed memo must NOT leak past the smaller budget.
     for jobs in JOBS {
-        assert_eq!(
-            stored.session().with_jobs(jobs).with_exact_budget(5).check(&evens),
-            tight,
-            "jobs={jobs}: cold store"
-        );
+        let budget = tight();
+        match stored.session().with_jobs(jobs).check_bounded(&evens, &budget) {
+            Outcome::Exceeded { report, .. } => {
+                assert_eq!(report.reason, ExceedReason::WorkExhausted, "jobs={jobs}");
+            }
+            other => panic!("jobs={jobs}: warmed memo must still trip, got {other:?}"),
+        }
+        if jobs == 1 {
+            assert_eq!(budget.work_done(), cold_tight.work_done(), "warm vs cold tight work");
+        }
     }
-    // Warm the memo with a generous budget, then re-ask with the tight
-    // one: the memoized answer must NOT leak past the smaller budget.
-    let generous = stored.session().with_exact_budget(1 << 20).check(&evens);
-    assert!(generous.is_ok());
-    assert_eq!(private.session().with_exact_budget(1 << 20).check(&evens), generous);
-    for jobs in JOBS {
-        assert_eq!(
-            stored.session().with_jobs(jobs).with_exact_budget(5).check(&evens),
-            tight,
-            "jobs={jobs}: warmed memo must still trip the tight budget"
-        );
-    }
+    // Memo hits charge the recorded node counts: same work as cold.
+    let warm_full = Budget::unlimited();
+    let verdict = stored.session().with_jobs(1).check_bounded(&evens, &warm_full);
+    assert_eq!(verdict.expect_done("unlimited budget"), CheckOutcome::Optimal);
+    assert_eq!(warm_full.work_done(), cold_full.work_done(), "warm vs cold unlimited work");
 }
 
 #[test]
@@ -420,7 +434,7 @@ proptest! {
         }
         // Optimal verdicts must also certify identically.
         for j in &candidates {
-            if matches!(stored.session().check(j), Ok(CheckOutcome::Optimal)) {
+            if matches!(stored.session().check(j), CheckOutcome::Optimal) {
                 prop_assert_eq!(certificate_text(&private, 1, j), certificate_text(&stored, 1, j));
             }
         }
